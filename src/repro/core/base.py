@@ -402,18 +402,28 @@ class EmbeddingAlgorithm(abc.ABC):
                                 request.node_constraint, delta=delta)
         if filters is None:
             return None
-        patched = PreparedSearch(
+        return self._prepared_from_filters(request, filters, ordering)
+
+    @staticmethod
+    def _prepared_from_filters(request: SearchRequest, filters,
+                               ordering) -> PreparedSearch:
+        """The ECF/RWB prepared artifacts over built or patched *filters*:
+        their statistics, and — unless some query node is left without a
+        candidate — the visiting order and its placed-neighbour plan."""
+        prepared = PreparedSearch(
             filters=filters,
             constraint_evaluations=filters.constraint_evaluations,
             filter_entries=filters.entry_count,
             filter_build_seconds=filters.build_seconds)
+        # If any query node has no candidate at all the query is infeasible
+        # and every (empty) search against this plan is complete.
         if any(not filters.node_candidate_masks.get(node)
                for node in request.query.nodes()):
-            patched.infeasible = True
-            return patched
-        patched.order = ordering(request.query, filters)
-        patched.prior = placed_neighbor_plan(request.query, patched.order)
-        return patched
+            prepared.infeasible = True
+            return prepared
+        prepared.order = ordering(request.query, filters)
+        prepared.prior = placed_neighbor_plan(request.query, prepared.order)
+        return prepared
 
     def _require_request(self, request: SearchRequest) -> None:
         if not isinstance(request, SearchRequest):

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.api.registry import Capability, register_algorithm
 from repro.api.request import SearchRequest
 from repro.core import kernel
-from repro.core.base import EmbeddingAlgorithm, SearchContext, placed_neighbor_plan
+from repro.core.base import EmbeddingAlgorithm, SearchContext
 from repro.core.filters import FilterMatrices, build_filters
 from repro.core.ordering import ORDERINGS
 from repro.core.plan import PreparedSearch
@@ -103,22 +103,7 @@ class ECF(EmbeddingAlgorithm):
                                 request.constraint, request.node_constraint,
                                 record_non_matches=self._record_non_matches,
                                 deadline=deadline)
-        prepared = PreparedSearch(
-            filters=filters,
-            constraint_evaluations=filters.constraint_evaluations,
-            filter_entries=filters.entry_count,
-            filter_build_seconds=filters.build_seconds)
-
-        # If any query node has no candidate at all the query is infeasible
-        # and every (empty) search against this plan is complete.
-        if any(not filters.node_candidate_masks.get(node)
-               for node in request.query.nodes()):
-            prepared.infeasible = True
-            return prepared
-
-        prepared.order = self._ordering(request.query, filters)
-        prepared.prior = placed_neighbor_plan(request.query, prepared.order)
-        return prepared
+        return self._prepared_from_filters(request, filters, self._ordering)
 
     def _patch_prepared(self, request: SearchRequest,
                         prepared: PreparedSearch, delta) -> Optional[PreparedSearch]:
@@ -152,7 +137,6 @@ class ECF(EmbeddingAlgorithm):
         filters = prepared.filters
         order = prepared.order
         prior = prepared.prior
-        match_masks = filters.match_masks
         node_at = filters.host_indexer.node_at
         stats = context.stats
         n = len(order)
@@ -187,8 +171,8 @@ class ECF(EmbeddingAlgorithm):
                     else:
                         child_mask = -1
                         for neighbor in child_prior:
-                            child_mask &= match_masks.get(
-                                (neighbor, child_assignment[neighbor], child_node), 0)
+                            child_mask &= filters.cell_mask(
+                                neighbor, child_assignment[neighbor], child_node)
                             if not child_mask:
                                 break
                     child_mask &= ~(used_mask | low)

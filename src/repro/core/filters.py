@@ -15,22 +15,34 @@ already-placed neighbours (expression (2)), or the union of all cells
 targeting it when no neighbour is placed yet (expression (1)), always minus
 hosting nodes already in use.
 
-Both structures are sparse dictionaries keyed by
-``(placed query node, placed hosting node, next query node)``; their total
-entry count is the memory-footprint statistic reported by the ablation
-benchmarks (the O(n·|E_Q|·|E_R|) worst case of §V-C).
+Both structures are sparse in ``(placed query node, placed hosting node,
+next query node)``; their total entry count is the memory-footprint
+statistic reported by the ablation benchmarks (the O(n·|E_Q|·|E_R|) worst
+case of §V-C).
 
-**Bitmask backing.**  Each cell value — and each per-node candidate set — is
-stored as an integer bitmask over the dense hosting-node index maintained by
-:class:`~repro.core.indexing.NodeIndexer`, so the search inner loop runs on
-``&`` / ``| `` / ``& ~used_mask`` instead of Python set objects.  The
-historical set-returning accessors (:meth:`FilterMatrices.cell`,
+**Packed-block backing.**  A filter cell has exactly one stored form: per
+directed query pair ``(placed, next)`` one :class:`CellBlock` — a
+row-compressed little-endian ``uint64`` array ``words[row, word]`` over the
+dense hosting-node index of :class:`~repro.core.indexing.NodeIndexer`, one
+row per placed host whose cell is non-empty.  :func:`build_filters` and
+:func:`patch_filters` both end in the same producer (:func:`_pack_cells`:
+one scatter of the boolean verdict row, one ``np.packbits``), the search
+kernel (:mod:`repro.core.kernel`) reads the blocks, pickling ships them, and
+the size statistics are counted while packing.  ``F̄`` is never stored: a
+non-match cell is the placed host's oriented-arc row minus its ``F`` cell,
+derived on demand from the :class:`HostingCompile`'s packed arc adjacency.
+
+The dict-of-int surfaces (``match_masks`` / ``non_match_masks``), the
+dict-of-set surfaces (``match`` / ``non_match`` / ``node_candidates``) and
+the set-returning accessors (:meth:`FilterMatrices.cell`,
 :meth:`~FilterMatrices.candidates_given`,
-:meth:`~FilterMatrices.candidates_unplaced` and the ``match`` /
-``non_match`` / ``node_candidates`` dict views) survive as thin decode
-layers, so diagnostics, ablations and tests keep their original vocabulary.
-The set-semantics oracle the masks are tested against lives in
-:mod:`repro.core.reference`.
+:meth:`~FilterMatrices.candidates_unplaced`) are read-only views decoded from
+the blocks per call — for tests, diagnostics and the legacy oracle loop —
+and enumerate in one canonical order (query pair order, ``ab`` before
+``ba``, ascending host index) whether the snapshot was built or patched.
+The set-semantics oracle they are tested against lives in
+:mod:`repro.core.reference`.  numpy is a declared install dependency and
+this module requires it.
 """
 
 from __future__ import annotations
@@ -38,11 +50,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.constraints import ConstraintExpression
 from repro.constraints.ast_nodes import referenced_attributes
-from repro.constraints.vectorizer import HAVE_NUMPY, cached_vector_kernel, np
-from repro.core.indexing import NodeIndexer
-from repro.core.words import WordTable
+from repro.constraints.vectorizer import cached_vector_kernel
+from repro.core.indexing import WORD_BITS, NodeIndexer, word_count
+from repro.core.words import WordTable, unpack_masks, words_to_mask
 from repro.graphs.hosting import HostingNetwork
 from repro.graphs.journal import NetworkDelta
 from repro.graphs.network import Edge, Network, NodeId
@@ -50,17 +64,73 @@ from repro.graphs.query import QueryNetwork
 from repro.utils.timing import Stopwatch
 
 FilterKey = Tuple[NodeId, NodeId, NodeId]
+#: A directed query pair ``(placed query node, next query node)``.
+BlockKey = Tuple[NodeId, NodeId]
+
+
+class CellBlock:
+    """The ``F`` cells of one directed query pair, packed and row-compressed.
+
+    ``words[r]`` is the candidate mask for the pair's *next* query node given
+    that its *placed* node sits on hosting index ``hosts[r]``: bit *i* of the
+    mask lives in word ``i // 64``, bit ``i % 64`` (the layout of
+    :mod:`repro.core.words`).  ``hosts`` ascends and lists only hosts whose
+    cell is non-empty, so a block costs ``len(hosts) × num_words × 8`` bytes
+    plus the index — a host with no candidate stores no row.  ``count`` is
+    the number of set bits, taken from the verdict row while packing.
+
+    Blocks are immutable by convention: a patch packs new ones.
+    """
+
+    __slots__ = ("hosts", "words", "count")
+
+    def __init__(self, hosts, words, count: int) -> None:
+        self.hosts = hosts
+        self.words = words
+        self.count = int(count)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the two arrays."""
+        return int(self.hosts.nbytes + self.words.nbytes)
+
+    def items(self):
+        """``(host index, int mask)`` per row, ascending (the masks come from
+        one ``tobytes()``, sliced)."""
+        return zip(self.hosts.tolist(), unpack_masks(self.words))
+
+    def mask_of(self, host_index: int) -> int:
+        """The cell of the host at *host_index* (0 when it stores no row)."""
+        row = int(np.searchsorted(self.hosts, host_index))
+        if row == len(self.hosts) or self.hosts[row] != host_index:
+            return 0
+        return words_to_mask(self.words[row])
+
+    def host_mask(self) -> int:
+        """Bitmask over the hosts that store a row."""
+        present = np.zeros(self.words.shape[1] * WORD_BITS, dtype=bool)
+        present[self.hosts] = True
+        return int.from_bytes(
+            np.packbits(present, bitorder="little").tobytes(), "little")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CellBlock):
+            return NotImplemented
+        return (self.count == other.count
+                and np.array_equal(self.hosts, other.hosts)
+                and np.array_equal(self.words, other.words))
+
+    __hash__ = None
 
 
 class FilterWords:
-    """Fixed-width ``uint64`` word backing of one filter snapshot.
+    """:class:`~repro.core.words.WordTable` views of one filter snapshot.
 
-    Four :class:`~repro.core.words.WordTable` twins of the mask dicts —
-    match / non-match / node-candidate / node-screening — all over the same
-    dense host index.  Built lazily by :meth:`FilterMatrices.words` (the
-    dict-of-int representation stays authoritative in process); consumed by
-    the compiled search kernel and by pickling, which ships these contiguous
-    arrays instead of re-serialising thousands of bignums.
+    Match / non-match / node-candidate / node-screening tables over the same
+    dense host index, encoded from the mask views each time
+    :meth:`FilterMatrices.words` is called.  A diagnostic surface for tests
+    and parity checks; nothing on the build, patch, search or pickle path
+    reads it.
     """
 
     __slots__ = ("num_bits", "match", "non_match", "node_candidates",
@@ -76,44 +146,27 @@ class FilterWords:
         self.node_allowed = WordTable.from_masks(
             filters.node_allowed_masks, num_bits)
 
-    def patched(self, filters: "FilterMatrices",
-                touched: Set[FilterKey]) -> "FilterWords":
-        """Word backing for a patched snapshot: cell tables update only the
-        *touched* rows in place (on a private copy); the small per-node
-        tables rebuild.  Falls back to full rebuilds when a patch changed a
-        table's key set (see :meth:`WordTable.updated`)."""
-        words = FilterWords.__new__(FilterWords)
-        words.num_bits = self.num_bits
-        words.match = self.match.updated(filters.match_masks, touched)
-        words.non_match = self.non_match.updated(filters.non_match_masks,
-                                                 touched)
-        words.node_candidates = WordTable.from_masks(
-            filters.node_candidate_masks, self.num_bits)
-        words.node_allowed = WordTable.from_masks(
-            filters.node_allowed_masks, self.num_bits)
-        return words
-
-
-#: The four mask dicts that travel as word tables across pickle boundaries.
-_WORD_STATE_FIELDS = ("match_masks", "non_match_masks",
-                      "node_candidate_masks", "node_allowed_masks")
-
 
 @dataclass
 class FilterMatrices:
-    """The match filter ``F``, the non-match filter ``F̄`` and per-node candidates.
+    """The match filter ``F``, the derived non-match filter ``F̄`` and the
+    per-node candidates.
 
-    All candidate storage is bitmask-encoded over :attr:`host_indexer`; the
-    ``*_masks`` attributes are the hot-path surface consumed by ECF/RWB, and
-    the set-typed views below decode on demand for everything else.
+    :attr:`blocks` is the only stored form of the cells; the kernel plans of
+    :mod:`repro.core.kernel` read it directly and everything dict- or
+    set-shaped below is a view decoded from it per call.
     """
 
     #: Dense index over the hosting nodes; bit order == ``sorted(key=str)``.
     host_indexer: NodeIndexer = field(default_factory=NodeIndexer)
-    #: F: (placed query node, its hosting node, next query node) -> candidate mask.
-    match_masks: Dict[FilterKey, int] = field(default_factory=dict)
-    #: F̄: same key, hosting nodes known *not* to be candidates.
-    non_match_masks: Dict[FilterKey, int] = field(default_factory=dict)
+    #: F: directed query pair -> its packed cells.  Holds both directions of
+    #: every constrained query pair (``ab`` then ``ba``, in query pair
+    #: order), with an empty block for a pair nothing matched.
+    blocks: Dict[BlockKey, CellBlock] = field(default_factory=dict)
+    #: The hosting network's oriented-arc adjacency as a block (shared with
+    #: the :class:`HostingCompile`), present iff non-matches are recorded:
+    #: ``F̄[(qa, ra, qb)]`` is ``arcs(ra) & ~F[(qa, ra, qb)]``.
+    arcs: Optional[CellBlock] = None
     #: Union over all cells targeting a query node (expression (1) per node).
     node_candidate_masks: Dict[NodeId, int] = field(default_factory=dict)
     #: Number of edge-constraint evaluations performed while building.
@@ -124,79 +177,23 @@ class FilterMatrices:
     #: over :attr:`host_indexer`.  Retained so the incremental patch path can
     #: re-derive the expression-(1) fallback for nodes that lose every match.
     node_allowed_masks: Dict[NodeId, int] = field(default_factory=dict)
-    #: Whether ``F̄`` was populated at build time (the patch path must keep
-    #: maintaining exactly what the original build recorded).
-    records_non_matches: bool = True
     #: How many incremental patches produced the current state, and how many
     #: hosting-arc rows they re-evaluated in total (0 = built from scratch).
     patches: int = 0
     patched_rows: int = 0
-    #: Lazy :class:`FilterWords` twin of the mask dicts; built on first
-    #: kernel or pickle use, never part of equality or the constructor.
-    _words_cache: Optional[FilterWords] = field(default=None, init=False,
-                                                repr=False, compare=False)
 
-    # ------------------------------------------------------------------ #
-    # Fixed-width word backing (kernel + pickle representation)
-    # ------------------------------------------------------------------ #
-
-    def words(self) -> FilterWords:
-        """The word-array backing of this snapshot, built once on demand.
-
-        The dict-of-int masks stay the in-process representation behind the
-        accessor API; the word arrays are what the compiled kernel iterates
-        and what pickling ships.  Snapshots are immutable by convention
-        (patches produce new instances), so the cache never goes stale —
-        call :meth:`invalidate_words` after any in-place surgery in tests.
-        """
-        words = self._words_cache
-        if words is None:
-            words = FilterWords(self)
-            self._words_cache = words
-        return words
-
-    def invalidate_words(self) -> None:
-        """Drop the cached word backing (and any derived kernel plan)."""
-        self._words_cache = None
-        self.__dict__.pop("_kernel_plan", None)
+    @property
+    def records_non_matches(self) -> bool:
+        """Whether ``F̄`` counts towards :attr:`entry_count` and shows in the
+        views (it costs no build or patch time either way)."""
+        return self.arcs is not None
 
     def __getstate__(self):
-        """Pickle the mask dicts as word tables (compact, fixed-width) and
-        never ship derived caches: the kernel plan stays behind, and each
-        :class:`~repro.core.words.WordTable` pickles a private copy of its
-        array, so no payload aliases this object's buffers."""
+        """Pickle the blocks and the small per-node dicts; the kernel plan
+        cached on the snapshot is derived and stays behind."""
         state = dict(self.__dict__)
         state.pop("_kernel_plan", None)
-        words = state.pop("_words_cache", None)
-        if HAVE_NUMPY:
-            if words is None:
-                words = self.words()
-            state["match_masks"] = words.match
-            state["non_match_masks"] = words.non_match
-            state["node_candidate_masks"] = words.node_candidates
-            state["node_allowed_masks"] = words.node_allowed
         return state
-
-    def __setstate__(self, state) -> None:
-        tables = {}
-        for name in _WORD_STATE_FIELDS:
-            value = state.get(name)
-            if isinstance(value, WordTable):
-                tables[name] = value
-                state[name] = value.to_masks()
-        self.__dict__.update(state)
-        self._words_cache = None
-        if len(tables) == len(_WORD_STATE_FIELDS):
-            # The receiving side starts with the shipped tables pre-cached,
-            # so a worker going straight into the numba kernel reconverts
-            # nothing.
-            words = FilterWords.__new__(FilterWords)
-            words.num_bits = tables["match_masks"].num_bits
-            words.match = tables["match_masks"]
-            words.non_match = tables["non_match_masks"]
-            words.node_candidates = tables["node_candidate_masks"]
-            words.node_allowed = tables["node_allowed_masks"]
-            self._words_cache = words
 
     # ------------------------------------------------------------------ #
     # Size accounting
@@ -204,22 +201,33 @@ class FilterMatrices:
 
     @property
     def entry_count(self) -> int:
-        """Total number of candidate entries stored across both filters."""
-        return (sum(mask.bit_count() for mask in self.match_masks.values())
-                + sum(mask.bit_count() for mask in self.non_match_masks.values()))
+        """Total number of candidate entries across both filters."""
+        if self.arcs is not None:
+            # Every oriented arc is either a match or a non-match of each
+            # directed pair, so the two filters together hold them all.
+            return len(self.blocks) * self.arcs.count
+        return sum(block.count for block in self.blocks.values())
 
     @property
     def cell_count(self) -> int:
         """Number of distinct (placed, host, next) cells in the match filter."""
-        return len(self.match_masks)
+        return sum(len(block.hosts) for block in self.blocks.values())
 
     def candidate_count(self, query_node: NodeId) -> int:
         """Cardinality of expression (1)'s candidate set for *query_node*."""
         return self.node_candidate_masks.get(query_node, 0).bit_count()
 
     # ------------------------------------------------------------------ #
-    # Bitmask algebra (the hot path)
+    # Bitmask algebra over the blocks
     # ------------------------------------------------------------------ #
+
+    def cell_mask(self, placed_query: NodeId, placed_host: NodeId,
+                  next_query: NodeId) -> int:
+        """One ``F`` cell as an int mask, read straight from its block."""
+        block = self.blocks.get((placed_query, next_query))
+        if block is None or placed_host not in self.host_indexer:
+            return 0
+        return block.mask_of(self.host_indexer.index_of(placed_host))
 
     def candidates_mask_unplaced(self, query_node: NodeId) -> int:
         """Expression (1) as a bitmask: candidates before any neighbour is placed."""
@@ -234,16 +242,48 @@ class FilterMatrices:
         ``&`` and removes consumed hosts with ``& ~used_mask``; a missing
         cell contributes the empty mask, pruning the branch immediately.
         """
-        get = self.match_masks.get
         mask: Optional[int] = None
         for neighbor, host in placed_neighbors:
-            cell = get((neighbor, host, query_node), 0)
+            cell = self.cell_mask(neighbor, host, query_node)
             mask = cell if mask is None else mask & cell
             if not mask:
                 return 0
         if mask is None:
             mask = self.node_candidate_masks.get(query_node, 0)
         return mask & ~used_mask
+
+    # ------------------------------------------------------------------ #
+    # Dict-of-int views (decoded per call, canonical order)
+    # ------------------------------------------------------------------ #
+
+    @property
+    def match_masks(self) -> Dict[FilterKey, int]:
+        """``F`` as ``{(placed, host, next): candidate mask}`` (a snapshot)."""
+        node_at = self.host_indexer.node_at
+        return {(placed, node_at(index), following): mask
+                for (placed, following), block in self.blocks.items()
+                for index, mask in block.items()}
+
+    @property
+    def non_match_masks(self) -> Dict[FilterKey, int]:
+        """``F̄`` in the same shape, derived: each placed host's oriented
+        arcs minus its ``F`` cell.  Empty unless non-matches are recorded."""
+        if self.arcs is None:
+            return {}
+        node_at = self.host_indexer.node_at
+        arc_rows = list(self.arcs.items())
+        derived: Dict[FilterKey, int] = {}
+        for (placed, following), block in self.blocks.items():
+            matched = dict(block.items())
+            for index, arc_mask in arc_rows:
+                mask = arc_mask & ~matched.get(index, 0)
+                if mask:
+                    derived[(placed, node_at(index), following)] = mask
+        return derived
+
+    def words(self) -> FilterWords:
+        """:class:`FilterWords` tables encoded from the views (diagnostics)."""
+        return FilterWords(self)
 
     # ------------------------------------------------------------------ #
     # Candidate-set algebra (decode views over the masks)
@@ -283,16 +323,16 @@ class FilterMatrices:
              ) -> FrozenSet[NodeId]:
         """The raw ``F`` cell (read-only view) for diagnostics and tests."""
         return frozenset(self.host_indexer.decode(
-            self.match_masks.get((placed_query, placed_host, next_query), 0)))
+            self.cell_mask(placed_query, placed_host, next_query)))
 
     def non_match_cell(self, placed_query: NodeId, placed_host: NodeId,
                        next_query: NodeId) -> FrozenSet[NodeId]:
         """The raw ``F̄`` cell (read-only view)."""
-        return frozenset(self.host_indexer.decode(
-            self.non_match_masks.get((placed_query, placed_host, next_query), 0)))
+        return frozenset(self.host_indexer.decode(self.non_match_masks.get(
+            (placed_query, placed_host, next_query), 0)))
 
     # ------------------------------------------------------------------ #
-    # Dict-of-set views (decoded snapshots of the mask stores)
+    # Dict-of-set views (decoded snapshots of the mask views)
     # ------------------------------------------------------------------ #
 
     @property
@@ -339,6 +379,8 @@ class HostingCompile:
     #: Wall-clock seconds spent compiling.
     compile_seconds: float = 0.0
     _index_arrays: Optional[Tuple] = field(default=None, repr=False)
+    _cell_addresses: Optional[Tuple] = field(default=None, repr=False)
+    _arcs: Optional[CellBlock] = field(default=None, repr=False)
     #: Memoised vectorizer columns: (source slot, attr) -> (values, missing)
     #: array pair, or ``None`` when the attribute is non-numeric somewhere.
     _columns: Dict[Tuple[int, str], Optional[Tuple]] = field(
@@ -380,6 +422,39 @@ class HostingCompile:
             )
             self._index_arrays = arrays
         return arrays
+
+    def cell_addresses(self) -> Tuple:
+        """``(cell_ab, cell_ba)`` flat cell-bit addresses per arc row (lazy).
+
+        ``cell_ab[i] = ra_idx[i] * padded + rb_idx[i]`` addresses arc *i*'s
+        bit in a dense ``num_hosts × padded`` verdict matrix whose rows are
+        placed hosts (``padded`` = the host count rounded up to whole
+        words); ``cell_ba`` is the transposed placement.  They turn a boolean
+        verdict row into cell bits with one fancy-index store.
+        """
+        addresses = self._cell_addresses
+        if addresses is None:
+            ra_idx, rb_idx = self.index_arrays()[:2]
+            padded = word_count(self.num_hosts) * WORD_BITS
+            addresses = (ra_idx * padded + rb_idx, rb_idx * padded + ra_idx)
+            self._cell_addresses = addresses
+        return addresses
+
+    def arcs(self) -> CellBlock:
+        """The oriented-arc adjacency as a packed block (lazy): row ``ra``
+        has bit ``rb`` for every ``host_pair_info`` row ``(ra, rb)``.
+
+        Both orientations of every hosting edge are rows, so the block is its
+        own transpose and serves either direction of a query pair.  The arc
+        table is fixed for the life of a compile — attribute churn patches
+        columns in place, a structural change makes a new compile — so the
+        memo needs no invalidation of its own.
+        """
+        if self._arcs is None:
+            cell_ab = self.cell_addresses()[0]
+            self._arcs = _pack_cells(cell_ab, np.ones(len(cell_ab), dtype=bool),
+                                     self.num_hosts)
+        return self._arcs
 
     def column(self, source_index: int, attr: str) -> Optional[Tuple]:
         """(values, missing) arrays for one attribute over one dict column.
@@ -537,16 +612,19 @@ def patch_hosting_compile(compiled: HostingCompile,
         #: on node touches.  Columns whose attribute the delta never wrote
         #: are untouched — including memoised ``None`` verdicts, which can
         #: only change when their own attribute does.
+        touched_rows: Dict[Tuple[bool, str], List[int]] = {}
         for key, column in list(compiled._columns.items()):
             source_index, attr = key
-            if source_index in (4, 5):
-                subjects = [edge for edge, names
-                            in delta.touched_edge_attrs.items() if attr in names]
-                rows = compiled.rows_for(edges=subjects)
-            else:
-                subjects = [node for node, names
-                            in delta.touched_node_attrs.items() if attr in names]
-                rows = compiled.rows_for(nodes=subjects)
+            on_edges = source_index in (4, 5)
+            rows = touched_rows.get((on_edges, attr))
+            if rows is None:
+                touched = (delta.touched_edge_attrs if on_edges
+                           else delta.touched_node_attrs)
+                subjects = [subject for subject, names in touched.items()
+                            if attr in names]
+                rows = (compiled.rows_for(edges=subjects) if on_edges
+                        else compiled.rows_for(nodes=subjects))
+                touched_rows[(on_edges, attr)] = rows
             if not rows:
                 continue
             if column is None:
@@ -554,24 +632,39 @@ def patch_hosting_compile(compiled: HostingCompile,
                 # verdict and let column() re-derive it lazily.
                 del compiled._columns[key]
                 continue
+            # One gather of the touched rows' current values, then one
+            # fancy-index store per array.
+            fresh = [None if (attrs := info[i][source_index]) is None
+                     else attrs.get(attr) for i in rows]
+            if (not set(map(type, fresh)) <= _PLAIN_TYPES
+                    and not all(value is None or _is_plain_number(value)
+                                for value in fresh)):
+                # Non-numeric now: the column leaves the vectorizable
+                # fragment, exactly as a from-scratch column() would find.
+                compiled._columns[key] = None
+                continue
             values, missing = column
-            for i in rows:
-                attrs = info[i][source_index]
-                value = None if attrs is None else attrs.get(attr)
-                if value is None:
-                    values[i] = 0.0
-                    missing[i] = True
-                elif _is_plain_number(value):
-                    values[i] = value
-                    missing[i] = False
-                else:
-                    # Non-numeric now: the column leaves the vectorizable
-                    # fragment, exactly as a from-scratch column() would find.
-                    compiled._columns[key] = None
-                    break
+            is_missing = np.array([value is None for value in fresh],
+                                  dtype=bool)
+            fresh_values = np.array(fresh, dtype=np.float64)  # None -> nan
+            fresh_values[is_missing] = 0.0
+            values[rows] = fresh_values
+            missing[rows] = is_missing
         compiled.compile_seconds += stopwatch.stop()
     compiled.epoch = delta.target_epoch
     return True
+
+
+def _pair_edges(query: QueryNetwork) -> Dict[BlockKey, List[Edge]]:
+    """The query's edges grouped by unordered node pair, so that a filter
+    cell (placed node, placed host, next node) reflects *every* constraint
+    between the pair: a directed query may carry anti-parallel edges with
+    different requirements, and a candidate must satisfy both at once."""
+    pair_edges: Dict[BlockKey, List[Edge]] = {}
+    for q_source, q_target in query.edges():
+        qa, qb = sorted((q_source, q_target), key=str)
+        pair_edges.setdefault((qa, qb), []).append((q_source, q_target))
+    return pair_edges
 
 
 def build_filters(query: QueryNetwork, hosting: HostingNetwork,
@@ -595,11 +688,11 @@ def build_filters(query: QueryNetwork, hosting: HostingNetwork,
         Query nodes without any edges get their candidates from this filter
         alone (or all hosting nodes if it is absent).
     record_non_matches:
-        Whether to populate ``F̄``.  Nothing on the search path consumes
-        ``F̄`` — it exists for diagnostics and for the ablation benchmark
-        that quantifies the space/time trade-off of §V-C — so callers that
-        only search (RWB, the perf benchmarks) pass ``False`` and skip the
-        population work entirely.
+        Whether ``F̄`` is part of the result.  It is derived from ``F`` and
+        the arc adjacency on demand, so recording it costs nothing here; the
+        flag decides whether it counts towards ``entry_count`` and appears
+        in the ``non_match`` views (the §V-C space/time ablation), which
+        callers that only search (RWB, the perf benchmarks) switch off.
     deadline:
         Optional :class:`~repro.utils.timing.Deadline`; checked once per query
         edge so a search timeout also bounds the filter-construction stage.
@@ -613,116 +706,35 @@ def build_filters(query: QueryNetwork, hosting: HostingNetwork,
     if compiled is None or compiled.hosting is not hosting or compiled.stale:
         compiled = compile_hosting(hosting)
     indexer = compiled.indexer
-    filters = FilterMatrices(host_indexer=indexer,
-                             records_non_matches=record_non_matches)
-    trivial = constraint.is_trivial
-
-    node_allowed = compute_node_candidates(query, hosting, node_constraint)
-    filters.node_allowed_masks = {
-        node: indexer.encode(node_allowed[node]) for node in query.nodes()}
-
-    # Group the query's edges by unordered node pair, so that a filter cell
-    # (placed node, placed host, next node) reflects *every* constraint between
-    # the pair: a directed query may carry anti-parallel edges with different
-    # requirements, and a candidate must satisfy both simultaneously.
-    pair_edges: Dict[Tuple[NodeId, NodeId], List[Edge]] = {}
-    for q_source, q_target in query.edges():
-        qa, qb = sorted((q_source, q_target), key=str)
-        pair_edges.setdefault((qa, qb), []).append((q_source, q_target))
-
-    host_pair_info = compiled.host_pair_info
-
-    match_masks = filters.match_masks
-    non_match_masks = filters.non_match_masks
-    node_masks = filters.node_candidate_masks
-    match_get = match_masks.get
-    non_match_get = non_match_masks.get
-
-    # Fast path: evaluate the constraint for all hosting arcs at once over
-    # numpy arrays and fold the boolean results straight into the bitmasks.
-    evaluations = _build_pairs_vectorized(
-        query, constraint, node_allowed, pair_edges, compiled,
-        filters, record_non_matches, deadline)
-    if evaluations is not None:
-        for node in query.nodes():
-            if node not in node_masks:
-                node_masks[node] = indexer.encode(node_allowed[node])
-        filters.constraint_evaluations = evaluations
-        filters.build_seconds = stopwatch.stop()
-        return filters
-
-    evaluate = constraint.evaluate
-    evaluations = 0
-    for (qa, qb), edges_between in pair_edges.items():
-        if deadline is not None:
-            deadline.check()
-        allowed_a = node_allowed[qa]
-        allowed_b = node_allowed[qb]
-        # Pre-build one evaluation context per query edge of the pair; the
-        # inner loop only rebinds the three hosting-side slots.
-        edge_contexts = []
-        for q_source, q_target in edges_between:
-            edge_contexts.append((q_source == qa, {
-                "vEdge": query.edge_attrs(q_source, q_target),
-                "vSource": query.node_attrs(q_source),
-                "vTarget": query.node_attrs(q_target),
-                "rEdge": None, "rSource": None, "rTarget": None,
-            }))
-        mask_a = node_masks.get(qa, 0)
-        mask_b = node_masks.get(qb, 0)
-        for ra, rb, bit_a, bit_b, attrs_ab, attrs_ba, attrs_a, attrs_b in host_pair_info:
-            matched = ra in allowed_a and rb in allowed_b
-            if matched:
-                for forward, context in edge_contexts:
-                    # The hosting arc must run in the query edge's direction
-                    # under the placement qa -> ra, qb -> rb.
-                    r_edge_attrs = attrs_ab if forward else attrs_ba
-                    if r_edge_attrs is None:
-                        matched = False
-                        break
-                    if trivial:
-                        continue
-                    evaluations += 1
-                    context["rEdge"] = r_edge_attrs
-                    context["rSource"] = attrs_a if forward else attrs_b
-                    context["rTarget"] = attrs_b if forward else attrs_a
-                    if not evaluate(context):
-                        matched = False
-                        break
-            if matched:
-                key_ab = (qa, ra, qb)
-                key_ba = (qb, rb, qa)
-                match_masks[key_ab] = match_get(key_ab, 0) | bit_b
-                match_masks[key_ba] = match_get(key_ba, 0) | bit_a
-                mask_a |= bit_a
-                mask_b |= bit_b
-            elif record_non_matches:
-                key_ab = (qa, ra, qb)
-                key_ba = (qb, rb, qa)
-                non_match_masks[key_ab] = non_match_get(key_ab, 0) | bit_b
-                non_match_masks[key_ba] = non_match_get(key_ba, 0) | bit_a
-        if mask_a:
-            node_masks[qa] = mask_a
-        if mask_b:
-            node_masks[qb] = mask_b
-
-    # Query nodes with no filter entry (no edges, or no matching pair at all)
-    # fall back to the node-level candidate sets so expression (1) still has
-    # something to offer.
-    for node in query.nodes():
-        if node not in node_masks:
-            node_masks[node] = indexer.encode(node_allowed[node])
-
-    filters.constraint_evaluations = evaluations
+    allowed_masks = _screen_nodes(query, hosting, node_constraint, indexer)
+    verdicts, evaluations = _pair_verdicts(
+        query, constraint, _pair_edges(query), compiled, allowed_masks,
+        deadline)
+    blocks = _pack_pairs(verdicts, compiled)
+    filters = FilterMatrices(
+        host_indexer=indexer,
+        blocks=blocks,
+        arcs=compiled.arcs() if record_non_matches else None,
+        node_candidate_masks=_node_candidate_masks(query, blocks,
+                                                   allowed_masks),
+        constraint_evaluations=evaluations,
+        node_allowed_masks=allowed_masks,
+    )
     filters.build_seconds = stopwatch.stop()
     return filters
 
 
 _R_OBJECTS = ("rEdge", "rSource", "rTarget")
 _V_OBJECTS = ("vEdge", "vSource", "vTarget")
-#: Above this many hosting-node-squared cells the per-pair boolean adjacency
-#: matrix becomes the dominant cost; fall back to the scalar loop instead.
+#: Budget, in cells, for the transient dense boolean the packing step
+#: scatters verdicts into.  A full build whose ``num_hosts²`` exceeds it
+#: stays on the scalar loop, and :func:`_pack_cells` works in bands of
+#: placed hosts that each fit it.
 _MAX_DENSE_CELLS = 64_000_000
+
+
+#: Exact types that need no per-value look to be numeric-or-missing.
+_PLAIN_TYPES = {int, float, type(None)}
 
 
 def _is_plain_number(value) -> bool:
@@ -771,29 +783,42 @@ def _mask_to_bool_array(mask: int, num_bits: int):
                          bitorder="little", count=num_bits).astype(bool)
 
 
-def _build_pairs_vectorized(query, constraint, node_allowed,
-                            pair_edges, compiled, filters,
-                            record_non_matches, deadline) -> Optional[int]:
-    """Vectorized replacement for the per-(query pair, host pair) scalar loop.
+# --------------------------------------------------------------------------- #
+# Verdict rows: the constraint over (query pair, oriented hosting arc)
+# --------------------------------------------------------------------------- #
 
-    Evaluates the edge constraint as a numpy batch kernel over all oriented
-    hosting arcs at once, then converts the boolean match rows into filter
-    bitmasks with ``np.packbits`` (bit order == the dense host index).
-    Returns the constraint-evaluation count on success, or ``None`` when the
-    workload is outside the vectorizable fragment (non-numeric attributes,
-    strict mode, unsupported expression shapes) — the caller then runs the
-    scalar loop, whose semantics this pass replicates exactly, including the
-    short-circuit evaluation counts.
+def _pair_verdicts(query, constraint, pair_edges, compiled, allowed_masks,
+                   deadline, rows=None):
+    """``({unordered query pair: boolean verdict per arc row}, evaluations)``.
+
+    *rows* selects the ``host_pair_info`` rows to evaluate (``None`` = all —
+    a build; a sorted index array — a patch).  The batch kernel runs when the
+    workload is inside the vectorizable fragment, the scalar loop otherwise;
+    both give the same verdicts and the same short-circuit evaluation count.
+    """
+    result = _pair_verdicts_vectorized(query, constraint, pair_edges,
+                                       compiled, allowed_masks, rows, deadline)
+    if result is None:
+        result = _pair_verdicts_scalar(query, constraint, pair_edges,
+                                       compiled, allowed_masks, rows, deadline)
+    return result
+
+
+def _pair_verdicts_vectorized(query, constraint, pair_edges, compiled,
+                              allowed_masks, rows, deadline):
+    """Evaluate the edge constraint as a numpy batch kernel over the arc rows.
+
+    Replicates the scalar pass exactly, including its short-circuit
+    structure (a row dead after edge *k* is not evaluated at edge *k+1*).
+    Returns ``None`` when the workload is outside the vectorizable fragment
+    (non-numeric attributes, strict mode, unsupported expression shapes, a
+    full build over more than :data:`_MAX_DENSE_CELLS` host pairs).
 
     The hosting-side inputs — arc index arrays and per-attribute numeric
     columns — come memoised from the :class:`HostingCompile`, so repeated
     queries against an unchanged model only pay for the per-query batch
-    evaluation and the mask packing.
+    evaluation.
     """
-    host_pair_info = compiled.host_pair_info
-    indexer = compiled.indexer
-    if not HAVE_NUMPY or not host_pair_info:
-        return None
     if getattr(constraint, "strict", False):
         return None  # strict missing-attribute errors belong to the scalar path
     trivial = constraint.is_trivial
@@ -807,11 +832,15 @@ def _build_pairs_vectorized(query, constraint, node_allowed,
         if any(obj not in _R_OBJECTS and obj not in _V_OBJECTS
                for obj, _ in keys):
             return None
+    indexer = compiled.indexer
     num_hosts = len(indexer)
-    if num_hosts * num_hosts > _MAX_DENSE_CELLS:
+    if rows is None and num_hosts * num_hosts > _MAX_DENSE_CELLS:
         return None
 
     ra_idx, rb_idx, exists_fwd, exists_bwd = compiled.index_arrays()
+    if rows is not None:
+        ra_idx, rb_idx = ra_idx[rows], rb_idx[rows]
+        exists_fwd, exists_bwd = exists_fwd[rows], exists_bwd[rows]
 
     # One (values, missing) column pair per referenced hosting-side
     # attribute, per orientation: "forward" places (rEdge, rSource, rTarget)
@@ -828,6 +857,9 @@ def _build_pairs_vectorized(query, constraint, node_allowed,
         bwd = fwd if bwd_source == fwd_source else compiled.column(bwd_source, attr)
         if fwd is None or bwd is None:
             return None
+        if rows is not None:
+            fwd = (fwd[0][rows], fwd[1][rows])
+            bwd = (bwd[0][rows], bwd[1][rows])
         env_fwd[key] = fwd
         env_bwd[key] = bwd
 
@@ -837,57 +869,34 @@ def _build_pairs_vectorized(query, constraint, node_allowed,
     if edge_scalars is None:
         return None
 
-    match_masks = filters.match_masks
-    non_match_masks = filters.non_match_masks
-    node_masks = filters.node_candidate_masks
+    # Node screening gates a row on both endpoints.  Without a node
+    # constraint every mask is full and no gate is built at all; otherwise
+    # equal masks share one boolean lookup.
+    full_mask = indexer.full_mask
+    lookups: Dict[int, object] = {}
 
-    allowed_lookups = {}
-
-    def allowed_lookup(node):
-        lookup = allowed_lookups.get(node)
+    def gate(node, host_idx):
+        mask = allowed_masks.get(node, 0)
+        if mask == full_mask:
+            return None
+        lookup = lookups.get(mask)
         if lookup is None:
-            allowed = node_allowed[node]
-            lookup = np.zeros(num_hosts, dtype=bool)
-            if len(allowed) == num_hosts:
-                lookup[:] = True
-            else:
-                for host in allowed:
-                    lookup[indexer.index_of(host)] = True
-            allowed_lookups[node] = lookup
-        return lookup
-
-    def accumulate(masks, matched, first, second):
-        """OR the matched (r_first, r_second) rows into ``masks`` cells.
-
-        Builds the dense boolean adjacency of matched placements and packs
-        each row/column directly into the little-endian int bitmasks; also
-        returns the (row-any, column-any) bitmasks for the node candidates.
-        """
-        adjacency = np.zeros((num_hosts, num_hosts), dtype=bool)
-        adjacency[ra_idx[matched], rb_idx[matched]] = True
-        get = masks.get
-        packed = np.packbits(adjacency, axis=1, bitorder="little")
-        row_any = adjacency.any(axis=1)
-        for i in np.nonzero(row_any)[0]:
-            key = (first, indexer.node_at(i), second)
-            masks[key] = get(key, 0) | int.from_bytes(packed[i].tobytes(), "little")
-        packed_t = np.packbits(adjacency.T, axis=1, bitorder="little")
-        col_any = adjacency.any(axis=0)
-        for i in np.nonzero(col_any)[0]:
-            key = (second, indexer.node_at(i), first)
-            masks[key] = get(key, 0) | int.from_bytes(packed_t[i].tobytes(), "little")
-        return row_any, col_any
+            lookup = lookups[mask] = _mask_to_bool_array(mask, num_hosts)
+        return lookup[host_idx]
 
     evaluations = 0
+    verdicts = {}
     for (qa, qb), edges_between in pair_edges.items():
         if deadline is not None:
             deadline.check()
-        rows_allowed = (allowed_lookup(qa)[ra_idx]
-                        & allowed_lookup(qb)[rb_idx])
-        alive = rows_allowed
+        alive = None    # None: every row is still alive
+        for gated in (gate(qa, ra_idx), gate(qb, rb_idx)):
+            if gated is not None:
+                alive = gated if alive is None else alive & gated
         for q_source, q_target in edges_between:
             forward = q_source == qa
-            evaluable = alive & (exists_fwd if forward else exists_bwd)
+            exists = exists_fwd if forward else exists_bwd
+            evaluable = exists if alive is None else alive & exists
             if trivial:
                 alive = evaluable
                 continue
@@ -896,21 +905,156 @@ def _build_pairs_vectorized(query, constraint, node_allowed,
             env.update(edge_scalars[(q_source, q_target)])
             value, bad = kernel(env)
             alive = evaluable & np.logical_and(value, np.logical_not(bad))
-        if alive.any():
-            row_any, col_any = accumulate(match_masks, alive, qa, qb)
-            mask_a = int.from_bytes(
-                np.packbits(row_any, bitorder="little").tobytes(), "little")
-            mask_b = int.from_bytes(
-                np.packbits(col_any, bitorder="little").tobytes(), "little")
-            if mask_a:
-                node_masks[qa] = node_masks.get(qa, 0) | mask_a
-            if mask_b:
-                node_masks[qb] = node_masks.get(qb, 0) | mask_b
-        if record_non_matches:
-            unmatched = ~alive
-            if unmatched.any():
-                accumulate(non_match_masks, unmatched, qa, qb)
-    return evaluations
+        verdicts[(qa, qb)] = alive
+    return verdicts, evaluations
+
+
+def _pair_verdicts_scalar(query, constraint, pair_edges, compiled,
+                          allowed_masks, rows, deadline):
+    """The scalar pass: one ``constraint.evaluate`` per live (query edge,
+    arc row), for everything the batch kernel does not cover."""
+    info = compiled.host_pair_info
+    row_info = info if rows is None else [info[i] for i in rows.tolist()]
+    trivial = constraint.is_trivial
+    evaluate = constraint.evaluate
+    evaluations = 0
+    verdicts = {}
+    for (qa, qb), edges_between in pair_edges.items():
+        if deadline is not None:
+            deadline.check()
+        allowed_a = allowed_masks.get(qa, 0)
+        allowed_b = allowed_masks.get(qb, 0)
+        # Pre-build one evaluation context per query edge of the pair; the
+        # inner loop only rebinds the three hosting-side slots.
+        edge_contexts = []
+        for q_source, q_target in edges_between:
+            edge_contexts.append((q_source == qa, {
+                "vEdge": query.edge_attrs(q_source, q_target),
+                "vSource": query.node_attrs(q_source),
+                "vTarget": query.node_attrs(q_target),
+                "rEdge": None, "rSource": None, "rTarget": None,
+            }))
+        verdict = []
+        for ra, rb, bit_a, bit_b, attrs_ab, attrs_ba, attrs_a, attrs_b in row_info:
+            matched = bool(allowed_a & bit_a) and bool(allowed_b & bit_b)
+            if matched:
+                for forward, context in edge_contexts:
+                    # The hosting arc must run in the query edge's direction
+                    # under the placement qa -> ra, qb -> rb.
+                    r_edge_attrs = attrs_ab if forward else attrs_ba
+                    if r_edge_attrs is None:
+                        matched = False
+                        break
+                    if trivial:
+                        continue
+                    evaluations += 1
+                    context["rEdge"] = r_edge_attrs
+                    context["rSource"] = attrs_a if forward else attrs_b
+                    context["rTarget"] = attrs_b if forward else attrs_a
+                    if not evaluate(context):
+                        matched = False
+                        break
+            verdict.append(matched)
+        verdicts[(qa, qb)] = np.fromiter(verdict, dtype=bool,
+                                         count=len(verdict))
+    return verdicts, evaluations
+
+
+# --------------------------------------------------------------------------- #
+# Verdict rows -> packed blocks (the one producer)
+# --------------------------------------------------------------------------- #
+
+def _pack_cells(cells, verdict, num_hosts: int,
+                base: Optional[CellBlock] = None) -> CellBlock:
+    """Pack boolean verdicts into one directed pair's :class:`CellBlock`.
+
+    ``cells[i]`` is the flat address ``placed_host * padded + offered_host``
+    of the bit ``verdict[i]`` decides (see
+    :meth:`HostingCompile.cell_addresses`).  A build passes every arc row over
+    no *base*; a patch passes the re-evaluated rows over the block it
+    replaces, whose other bits carry over.  Either way the verdicts are
+    scattered into a dense boolean with one fancy-index store, packed with
+    one ``np.packbits`` and row-compressed, so a patched block is
+    array-equal to the rebuilt one by construction.
+
+    Placed hosts are processed in bands of at most ``_MAX_DENSE_CELLS``
+    cells, which bounds the transient boolean on large hosts (one band on
+    anything below ~8000 nodes).
+    """
+    num_words = word_count(num_hosts)
+    padded = num_words * WORD_BITS
+    band = max(1, _MAX_DENSE_CELLS // padded)
+    host_parts = [np.zeros(0, dtype=np.int64)]
+    word_parts = [np.zeros((0, num_words), dtype="<u8")]
+    count = 0
+    for start in range(0, num_hosts, band):
+        stop = min(start + band, num_hosts)
+        dense = np.zeros((stop - start, padded), dtype=bool)
+        if base is not None:
+            lo, hi = np.searchsorted(base.hosts, (start, stop))
+            dense[base.hosts[lo:hi] - start] = np.unpackbits(
+                base.words[lo:hi].view(np.uint8), axis=1, bitorder="little")
+        if band >= num_hosts:
+            dense.reshape(-1)[cells] = verdict
+        else:
+            inside = (cells >= start * padded) & (cells < stop * padded)
+            dense.reshape(-1)[cells[inside] - start * padded] = verdict[inside]
+        packed = np.packbits(dense, axis=1, bitorder="little").view("<u8")
+        kept = np.flatnonzero(packed.any(axis=1))
+        host_parts.append(kept + start)
+        word_parts.append(packed[kept])
+        count += int(np.count_nonzero(dense))
+    return CellBlock(np.concatenate(host_parts), np.concatenate(word_parts),
+                     count)
+
+
+def _pack_pairs(verdicts, compiled: HostingCompile, rows=None,
+                base: Optional[Dict[BlockKey, CellBlock]] = None
+                ) -> Dict[BlockKey, CellBlock]:
+    """Both directions' blocks of every query pair, in canonical order
+    (query pair order, ``ab`` before ``ba``).  A patch passes the *rows* its
+    verdicts cover and the *base* blocks they are written over."""
+    cell_ab, cell_ba = compiled.cell_addresses()
+    if rows is not None:
+        cell_ab, cell_ba = cell_ab[rows], cell_ba[rows]
+    num_hosts = compiled.num_hosts
+    blocks: Dict[BlockKey, CellBlock] = {}
+    for (qa, qb), verdict in verdicts.items():
+        for key, cells in (((qa, qb), cell_ab), ((qb, qa), cell_ba)):
+            blocks[key] = _pack_cells(cells, verdict, num_hosts,
+                                      None if base is None else base[key])
+    return blocks
+
+
+def _node_candidate_masks(query: QueryNetwork,
+                          blocks: Dict[BlockKey, CellBlock],
+                          allowed_masks: Dict[NodeId, int]) -> Dict[NodeId, int]:
+    """Expression (1) per query node: a host is a candidate iff some cell it
+    is placed in is non-empty.  Query nodes with no filter entry (no edges,
+    or no matching pair at all) fall back to the node-screening mask so
+    expression (1) still has something to offer."""
+    derived: Dict[NodeId, int] = {}
+    for (placed, _following), block in blocks.items():
+        if len(block.hosts):
+            derived[placed] = derived.get(placed, 0) | block.host_mask()
+    return {node: derived.get(node, 0) or allowed_masks.get(node, 0)
+            for node in query.nodes()}
+
+
+# --------------------------------------------------------------------------- #
+# Node screening
+# --------------------------------------------------------------------------- #
+
+def _screen_nodes(query: QueryNetwork, hosting: Network,
+                  node_constraint: Optional[ConstraintExpression],
+                  indexer: NodeIndexer) -> Dict[NodeId, int]:
+    """:func:`compute_node_candidates` as masks over *indexer*; without a
+    node constraint every query node shares the indexer's full mask."""
+    if node_constraint is None or node_constraint.is_trivial:
+        full_mask = indexer.full_mask
+        return {node: full_mask for node in query.nodes()}
+    allowed = compute_node_candidates(query, hosting, node_constraint)
+    return {node: indexer.encode(allowed[node]) for node in query.nodes()}
 
 
 def compute_node_candidates(query: QueryNetwork, hosting: Network,
@@ -949,109 +1093,9 @@ def compute_node_candidates(query: QueryNetwork, hosting: Network,
 # Incremental filter patching (delta-aware recompiles)
 # --------------------------------------------------------------------------- #
 
-#: Above this fraction of re-evaluated arc rows a full (vectorizable) rebuild
-#: is usually cheaper than the scalar row patch; the patch declines and the
+#: Above this fraction of re-evaluated arc rows the patch declines and the
 #: caller rebuilds.
 PATCH_ROW_FRACTION = 0.25
-
-
-def _set_cell_bit(masks: Dict[FilterKey, int], key: FilterKey, bit: int) -> None:
-    masks[key] = masks.get(key, 0) | bit
-
-
-def _clear_cell_bit(masks: Dict[FilterKey, int], key: FilterKey, bit: int) -> None:
-    mask = masks.get(key)
-    if mask is None:
-        return
-    mask &= ~bit
-    if mask:
-        masks[key] = mask
-    else:
-        # A from-scratch build never stores empty cells; neither may a patch.
-        del masks[key]
-
-
-def _patch_pairs_vectorized(query, constraint, pair_edges, compiled,
-                            rows, allowed_masks, indexer):
-    """Batch-evaluate the affected rows for every query pair at once.
-
-    The subset analogue of :func:`_build_pairs_vectorized`: the memoised
-    hosting columns are sliced down to *rows* and the constraint kernel runs
-    over them per query edge, replicating the scalar pass's short-circuit
-    structure (a row dead after edge *k* is not evaluated at edge *k+1*).
-    Returns ``(matched-bool-array per pair, evaluation count)``, or ``None``
-    when the workload is outside the vectorizable fragment — the caller then
-    runs the scalar row loop.
-    """
-    if not HAVE_NUMPY or not rows:
-        return None
-    if getattr(constraint, "strict", False):
-        return None
-    trivial = constraint.is_trivial
-    kernel = None
-    keys = []
-    if not trivial:
-        kernel = cached_vector_kernel(constraint)
-        if kernel is None:
-            return None
-        keys = referenced_attributes(constraint.ast)
-        if any(obj not in _R_OBJECTS and obj not in _V_OBJECTS
-               for obj, _ in keys):
-            return None
-
-    ra_idx, rb_idx, exists_fwd, exists_bwd = compiled.index_arrays()
-    selection = np.asarray(rows, dtype=np.int64)
-    sub_ra = ra_idx[selection]
-    sub_rb = rb_idx[selection]
-    sub_fwd = exists_fwd[selection]
-    sub_bwd = exists_bwd[selection]
-
-    column_sources = {"rEdge": (4, 5), "rSource": (6, 7), "rTarget": (7, 6)}
-    env_fwd = {}
-    env_bwd = {}
-    for key in keys:
-        obj, attr = key
-        if obj not in column_sources:
-            continue
-        fwd_source, bwd_source = column_sources[obj]
-        fwd = compiled.column(fwd_source, attr)
-        bwd = fwd if bwd_source == fwd_source else compiled.column(bwd_source, attr)
-        if fwd is None or bwd is None:
-            return None
-        env_fwd[key] = (fwd[0][selection], fwd[1][selection])
-        env_bwd[key] = (bwd[0][selection], bwd[1][selection])
-
-    edge_scalars = _query_edge_scalars(query, keys, pair_edges)
-    if edge_scalars is None:
-        return None
-
-    num_hosts = len(indexer)
-    allowed_bools: Dict[NodeId, object] = {}
-
-    def allowed_lookup(node):
-        lookup = allowed_bools.get(node)
-        if lookup is None:
-            lookup = _mask_to_bool_array(allowed_masks.get(node, 0), num_hosts)
-            allowed_bools[node] = lookup
-        return lookup
-
-    evaluations = 0
-    matched_by_pair = {}
-    for (qa, qb), edges_between in pair_edges.items():
-        alive = allowed_lookup(qa)[sub_ra] & allowed_lookup(qb)[sub_rb]
-        for q_source, q_target in edges_between:
-            forward = q_source == qa
-            evaluable = alive & (sub_fwd if forward else sub_bwd)
-            if trivial:
-                alive = evaluable
-                continue
-            evaluations += int(np.count_nonzero(evaluable))
-            env = dict(env_fwd if forward else env_bwd)
-            env.update(edge_scalars[(q_source, q_target)])
-            value, bad = kernel(env)
-            alive = evaluable & np.logical_and(value, np.logical_not(bad))
-        matched_by_pair[(qa, qb)] = alive
-    return matched_by_pair, evaluations
 
 
 def patch_filters(filters: FilterMatrices, query: QueryNetwork,
@@ -1065,17 +1109,18 @@ def patch_filters(filters: FilterMatrices, query: QueryNetwork,
 
     Re-evaluates the edge constraint only for the hosting-arc rows the delta
     touched (and the node constraint only for the touched hosting nodes),
-    then fixes exactly the affected bits of the ``F``/``F̄`` cells and
-    re-derives the per-node candidate masks.  The result is **element
-    identical** to :func:`build_filters` run from scratch on the mutated
-    network — same cells, same bits, same fallbacks — which is the property
-    the test suite verifies over randomised mutation sequences.
+    writes those verdicts over a copy of each block's bits and re-packs
+    (:func:`_pack_cells`, the step a build ends in), then re-derives the
+    per-node candidate masks.  The result is **element identical** to
+    :func:`build_filters` run from scratch on the mutated network — same
+    blocks array for array, same fallbacks — which is the property the test
+    suite verifies over randomised mutation sequences.
 
     Returns a *new* :class:`FilterMatrices` (the input is never mutated, so
     concurrent executes against the old plan stay safe), or ``None`` when
     patching does not apply: no delta (journal overflow), a structural
-    delta, a foreign/stale hosting compile, or a delta so large that a full
-    rebuild is cheaper (*max_row_fraction*).
+    delta, a foreign/stale hosting compile, or a delta touching more than
+    *max_row_fraction* of the arc rows.
 
     Cumulative statistics: ``constraint_evaluations`` / ``build_seconds``
     accumulate the patch work on top of the original build's, and
@@ -1098,10 +1143,9 @@ def patch_filters(filters: FilterMatrices, query: QueryNetwork,
     # expressions actually reads can flip any bit.  Everything else — load
     # jitter under a delay constraint, bookkeeping attributes — re-derives
     # to the exact same filters, so those rows are skipped outright.
-    trivial = constraint.is_trivial
     edge_attrs_read: set = set()
     node_attrs_read: set = set()
-    if not trivial:
+    if not constraint.is_trivial:
         for obj, attr in referenced_attributes(constraint.ast):
             if obj == "rEdge":
                 edge_attrs_read.add(attr)
@@ -1131,28 +1175,18 @@ def patch_filters(filters: FilterMatrices, query: QueryNetwork,
 
     if max_row_fraction is None:
         max_row_fraction = PATCH_ROW_FRACTION   # resolved late: a tunable knob
-    rows = compiled.rows_for(nodes=relevant_nodes, edges=relevant_edges)
+    rows = np.asarray(
+        compiled.rows_for(nodes=relevant_nodes, edges=relevant_edges),
+        dtype=np.int64)
     if len(rows) > max_row_fraction * max(1, len(compiled.host_pair_info)):
         return None
 
     stopwatch = Stopwatch().start()
-    patched = FilterMatrices(
-        host_indexer=indexer,
-        match_masks=dict(filters.match_masks),
-        non_match_masks=dict(filters.non_match_masks),
-        node_candidate_masks={},
-        constraint_evaluations=filters.constraint_evaluations,
-        build_seconds=filters.build_seconds,
-        node_allowed_masks=dict(filters.node_allowed_masks),
-        records_non_matches=filters.records_non_matches,
-        patches=filters.patches + 1,
-        patched_rows=filters.patched_rows + len(rows),
-    )
 
     # Re-screen the relevantly-touched hosting nodes against the node
     # constraint; this both gates the row re-evaluation below and refreshes
     # the expression-(1) fallback for query nodes left without any match.
-    allowed_masks = patched.node_allowed_masks
+    allowed_masks = dict(filters.node_allowed_masks)
     if screening and screen_nodes:
         touched_hosts = [(host, hosting.node_attrs(host), indexer.bit(host))
                          for host in sorted(screen_nodes, key=str)
@@ -1169,111 +1203,20 @@ def patch_filters(filters: FilterMatrices, query: QueryNetwork,
                     mask &= ~bit
             allowed_masks[query_node] = mask
 
-    info = compiled.host_pair_info
-    match_masks = patched.match_masks
-    non_match_masks = patched.non_match_masks
-    record_non_matches = patched.records_non_matches
-    row_info = [info[i] for i in rows]
-
-    pair_edges: Dict[Tuple[NodeId, NodeId], List[Edge]] = {}
-    for q_source, q_target in query.edges():
-        qa, qb = sorted((q_source, q_target), key=str)
-        pair_edges.setdefault((qa, qb), []).append((q_source, q_target))
-
-    #: Cell keys any verdict wrote; the word-backing patch below rewrites
-    #: exactly these rows instead of re-encoding the whole tables.
-    touched_keys: Set[FilterKey] = set()
-
-    def apply_verdict(qa: NodeId, qb: NodeId, row: Tuple, matched) -> None:
-        """Fix the four cell bits one row contributes to one pair."""
-        ra, rb, bit_a, bit_b = row[0], row[1], row[2], row[3]
-        key_ab = (qa, ra, qb)
-        key_ba = (qb, rb, qa)
-        touched_keys.add(key_ab)
-        touched_keys.add(key_ba)
-        if matched:
-            _set_cell_bit(match_masks, key_ab, bit_b)
-            _set_cell_bit(match_masks, key_ba, bit_a)
-            if record_non_matches:
-                _clear_cell_bit(non_match_masks, key_ab, bit_b)
-                _clear_cell_bit(non_match_masks, key_ba, bit_a)
-        else:
-            _clear_cell_bit(match_masks, key_ab, bit_b)
-            _clear_cell_bit(match_masks, key_ba, bit_a)
-            if record_non_matches:
-                _set_cell_bit(non_match_masks, key_ab, bit_b)
-                _set_cell_bit(non_match_masks, key_ba, bit_a)
-
-    # Fast path: one batch kernel evaluation over just the affected rows.
-    vectorized = _patch_pairs_vectorized(query, constraint, pair_edges,
-                                         compiled, rows, allowed_masks,
-                                         indexer)
-    if vectorized is not None:
-        matched_by_pair, evaluations = vectorized
-        for (qa, qb), matched_rows in matched_by_pair.items():
-            if deadline is not None:
-                deadline.check()
-            for row, matched in zip(row_info, matched_rows):
-                apply_verdict(qa, qb, row, matched)
-    else:
-        # Scalar fallback, mirroring the scalar pass of build_filters
-        # exactly (same contexts, same short-circuits).
-        evaluate = constraint.evaluate
-        evaluations = 0
-        for (qa, qb), edges_between in pair_edges.items():
-            if deadline is not None:
-                deadline.check()
-            allowed_a = allowed_masks.get(qa, 0)
-            allowed_b = allowed_masks.get(qb, 0)
-            edge_contexts = []
-            for q_source, q_target in edges_between:
-                edge_contexts.append((q_source == qa, {
-                    "vEdge": query.edge_attrs(q_source, q_target),
-                    "vSource": query.node_attrs(q_source),
-                    "vTarget": query.node_attrs(q_target),
-                    "rEdge": None, "rSource": None, "rTarget": None,
-                }))
-            for row in row_info:
-                ra, rb, bit_a, bit_b, attrs_ab, attrs_ba, attrs_a, attrs_b = row
-                matched = bool(allowed_a & bit_a) and bool(allowed_b & bit_b)
-                if matched:
-                    for forward, context in edge_contexts:
-                        r_edge_attrs = attrs_ab if forward else attrs_ba
-                        if r_edge_attrs is None:
-                            matched = False
-                            break
-                        if trivial:
-                            continue
-                        evaluations += 1
-                        context["rEdge"] = r_edge_attrs
-                        context["rSource"] = attrs_a if forward else attrs_b
-                        context["rTarget"] = attrs_b if forward else attrs_a
-                        if not evaluate(context):
-                            matched = False
-                            break
-                apply_verdict(qa, qb, row, matched)
-
-    # Candidate masks re-derive from the patched cells: a host is an
-    # expression-(1) candidate for a query node iff some cell it is placed
-    # in survives; nodes with no surviving match fall back to the
-    # node-screening mask, exactly as a from-scratch build does.
-    bit_of = indexer.bit
-    derived: Dict[NodeId, int] = {}
-    for (placed_query, placed_host, _next_query), mask in match_masks.items():
-        if mask:
-            derived[placed_query] = derived.get(placed_query, 0) | bit_of(placed_host)
-    node_masks = patched.node_candidate_masks
-    for node in query.nodes():
-        node_masks[node] = derived.get(node, 0) or allowed_masks.get(node, 0)
-
-    # Word-backing carry-over: when the base snapshot already materialised
-    # its word arrays, patch them row-wise (copy-on-write) instead of
-    # leaving the patched snapshot to re-encode every cell on first kernel
-    # or pickle use.
-    base_words = filters._words_cache
-    if base_words is not None and HAVE_NUMPY:
-        patched._words_cache = base_words.patched(patched, touched_keys)
-
-    patched.constraint_evaluations += evaluations
-    patched.build_seconds += stopwatch.stop()
+    verdicts, evaluations = _pair_verdicts(
+        query, constraint, _pair_edges(query), compiled, allowed_masks,
+        deadline, rows=rows)
+    blocks = _pack_pairs(verdicts, compiled, rows=rows, base=filters.blocks)
+    patched = FilterMatrices(
+        host_indexer=indexer,
+        blocks=blocks,
+        arcs=filters.arcs,
+        node_candidate_masks=_node_candidate_masks(query, blocks,
+                                                   allowed_masks),
+        constraint_evaluations=filters.constraint_evaluations + evaluations,
+        node_allowed_masks=allowed_masks,
+        patches=filters.patches + 1,
+        patched_rows=filters.patched_rows + len(rows),
+    )
+    patched.build_seconds = filters.build_seconds + stopwatch.stop()
     return patched

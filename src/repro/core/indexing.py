@@ -23,11 +23,11 @@ from typing import Hashable, Iterable, Iterator, List, Set, Tuple
 
 NodeId = Hashable
 
-#: Fixed mask-word width of the compiled search kernel.  Unbounded Python
-#: ints remain the in-process representation (arbitrary-precision ``&``/``|``
-#: keep the accessor API unchanged), but across process boundaries and inside
-#: the kernel the same masks travel as little-endian arrays of this many bits
-#: per word (see :mod:`repro.core.words`).
+#: Fixed mask-word width.  Filter cells are stored, shipped across process
+#: boundaries and read by the compiled kernel as little-endian arrays of
+#: this many bits per word (see :mod:`repro.core.words`); unbounded Python
+#: ints are decoded from them where arbitrary-precision ``&``/``|`` is the
+#: convenient algebra (the interpreted kernel, the accessor API).
 WORD_BITS = 64
 
 

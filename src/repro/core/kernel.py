@@ -5,14 +5,16 @@ candidate algebra on unbounded ints — search only got ~2x where filter
 construction got ~29x.  This module moves the explicit-stack inner loops
 behind a backend switch:
 
-* ``python`` — a chunked pure-Python driver over the same int masks, but
-  with the per-expansion dict/attribute traffic of the legacy loop hoisted
-  into precomputed row tables (a :class:`KernelPlan`).  Always available.
-* ``numba`` — the same algorithm transliterated to ``numba.njit`` over
-  fixed-width ``uint64`` word arrays (:mod:`repro.core.words`), compiled
-  ``nogil`` so thread-based shards can actually scale.  Selected only when
-  numba imports *and* passes a tiny compile-and-verify self-test; otherwise
-  the python backend takes over with a warning.
+* ``python`` — a chunked pure-Python driver over int masks, with the
+  per-expansion dict/attribute traffic of the legacy loop hoisted into
+  dense per-slot cell tables (a :class:`KernelPlan`) decoded from the
+  filters' packed blocks — only the one direction of each query edge the
+  visiting order uses.  Always available.
+* ``numba`` — the same algorithm transliterated to ``numba.njit`` over the
+  blocks' fixed-width ``uint64`` words themselves (:mod:`repro.core.words`),
+  compiled ``nogil`` so thread-based shards can actually scale.  Selected
+  only when numba imports *and* passes a tiny compile-and-verify self-test;
+  otherwise the python backend takes over with a warning.
 * ``legacy`` — disable the kernel entirely; callers fall back to the PR 2
   loops.  This is the reference the parity gates compare against.
 
@@ -199,26 +201,30 @@ def describe() -> Dict[str, object]:
 # ---------------------------------------------------------------------- #
 
 class KernelPlan:
-    """Precomputed row tables for one ``(filters, order, prior)`` triple.
+    """The search-ready view of one ``(filters, order, prior)`` triple.
 
     The legacy loop pays a tuple-hash dict lookup per (neighbour, host)
-    pair per expansion.  The plan pays them all once: for every depth and
-    every prior neighbour it materialises a dense ``host index -> filter
-    row`` table, so the inner loop is list indexing only.  Rows index into
-    ``masks_int`` (python backend) and into the ``uint64`` word array of
-    ``filters.words().match`` (numba backend) — both enumerate
-    ``match_masks`` in the same order, so row ids agree by construction.
+    pair per expansion.  The plan pays them all once: every depth gets one
+    *slot* per prior neighbour, and a slot reads the one direction of that
+    query edge the visiting order uses — the filters' packed
+    :class:`~repro.core.filters.CellBlock` for ``(neighbour, node)``.  The
+    python backend expands each slot's block into a dense ``host index ->
+    int mask`` list (an empty cell is a zero mask, which prunes the branch
+    like any other empty intersection); the numba backend stacks the same
+    blocks into one word array with a ``host index -> row`` table per slot
+    (``-1`` = empty cell).
 
-    Plans are derived caches: they are rebuilt on demand and never pickled
-    (shards rebuild from the shipped word arrays in their own process).
+    A plan holds the blocks and ints it reads, never the filters object, so
+    caching it on the snapshot (:func:`plan_for`) creates no reference
+    cycle.  Plans are derived caches: rebuilt on demand and never pickled
+    (shards rebuild from the shipped blocks in their own process).
     """
 
-    __slots__ = ("filters", "order", "prior", "indexer", "host_nodes",
-                 "depth_of", "n", "num_hosts", "node_ints", "cell_tables",
-                 "masks_int", "_words")
+    __slots__ = ("order", "prior", "indexer", "host_nodes", "depth_of", "n",
+                 "num_hosts", "node_ints", "cell_tables", "_slot_blocks",
+                 "_words")
 
     def __init__(self, filters, order: Sequence, prior: Sequence) -> None:
-        self.filters = filters
         self.order = tuple(order)
         self.prior = tuple(tuple(p) for p in prior)
         self.indexer = filters.host_indexer
@@ -226,13 +232,11 @@ class KernelPlan:
         self.depth_of = {node: d for d, node in enumerate(self.order)}
         self.n = len(self.order)
         self.num_hosts = len(self.host_nodes)
-        match_masks = filters.match_masks
-        row_index = {key: r for r, key in enumerate(match_masks)}
-        self.masks_int: List[int] = list(match_masks.values())
         node_masks = filters.node_candidate_masks
         self.node_ints: List[int] = [node_masks.get(node, 0)
                                      for node in self.order]
-        hosts = self.host_nodes
+        blocks = filters.blocks
+        slot_blocks = []
         tables = []
         for depth, node in enumerate(self.order):
             neighbors = self.prior[depth]
@@ -241,38 +245,53 @@ class KernelPlan:
                 continue
             slots = []
             for neighbor in neighbors:
-                get = row_index.get
-                rows = [get((neighbor, host, node), -1) for host in hosts]
-                slots.append((self.depth_of[neighbor], rows))
+                block = blocks.get((neighbor, node))
+                cells = [0] * self.num_hosts
+                if block is not None:
+                    for host, mask in block.items():
+                        cells[host] = mask
+                slot_blocks.append(block)
+                slots.append((self.depth_of[neighbor], cells))
             tables.append(tuple(slots))
         self.cell_tables = tuple(tables)
+        self._slot_blocks = slot_blocks
         self._words = None
 
     def words(self):
         """The numba-side arrays, built once: ``(match_words, node_words,
-        prior_off, slot_depth, slot_rows, num_words)``."""
+        prior_off, slot_depth, slot_rows, num_words)``.
+
+        ``match_words`` stacks the slots' blocks in slot order, so a slot's
+        row ids are its block's offset plus the position of each host that
+        stores a row; every other host maps to ``-1``.
+        """
         cached = self._words
         if cached is None:
             nw = word_count(self.num_hosts)
-            match_words = self.filters.words().match.words
-            node_words = pack_masks(self.node_ints, nw)
+            width = max(1, self.num_hosts)
+            slot_rows = np.full((len(self._slot_blocks), width), -1,
+                                dtype=np.int64)
+            stacked = [np.zeros((0, nw), dtype=np.uint64)]
+            offset = 0
+            for slot, block in enumerate(self._slot_blocks):
+                if block is None:
+                    continue
+                rows = len(block.hosts)
+                slot_rows[slot, block.hosts] = np.arange(offset, offset + rows)
+                stacked.append(block.words)
+                offset += rows
             offsets = [0]
             slot_depth: List[int] = []
-            slot_rows: List[List[int]] = []
             for slots in self.cell_tables:
                 if slots:
-                    for nb_depth, rows in slots:
-                        slot_depth.append(nb_depth)
-                        slot_rows.append(rows)
+                    slot_depth.extend(nb_depth for nb_depth, _cells in slots)
                 offsets.append(len(slot_depth))
-            width = max(1, self.num_hosts)
-            rows_arr = (np.asarray(slot_rows, dtype=np.int64)
-                        if slot_rows else np.zeros((0, width), dtype=np.int64))
-            cached = (np.ascontiguousarray(match_words, dtype=np.uint64),
-                      node_words,
+            cached = (np.ascontiguousarray(np.concatenate(stacked),
+                                           dtype=np.uint64),
+                      pack_masks(self.node_ints, nw),
                       np.asarray(offsets, dtype=np.int64),
                       np.asarray(slot_depth, dtype=np.int64),
-                      rows_arr,
+                      slot_rows,
                       nw)
             self._words = cached
         return cached
@@ -302,18 +321,14 @@ def plan_for(filters, order: Sequence, prior: Sequence) -> Optional[KernelPlan]:
 # ---------------------------------------------------------------------- #
 
 def _candidates_int(plan: KernelPlan, depth: int, assign_idx, used: int) -> int:
-    """Expression (2)/(1) over the plan's row tables, minus used hosts."""
+    """Expression (2)/(1) over the plan's cell tables, minus used hosts."""
     slots = plan.cell_tables[depth]
     if slots is None:
         mask = plan.node_ints[depth]
     else:
         mask = -1
-        masks_int = plan.masks_int
-        for nb_depth, rows in slots:
-            row = rows[assign_idx[nb_depth]]
-            if row < 0:
-                return 0
-            mask &= masks_int[row]
+        for nb_depth, cells in slots:
+            mask &= cells[assign_idx[nb_depth]]
             if not mask:
                 return 0
     return mask & ~used
@@ -325,7 +340,7 @@ def _candidates_int(plan: KernelPlan, depth: int, assign_idx, used: int) -> int:
 
 def _ecf_chunk_ints(remaining: List[int], placed: List[int],
                     assign_idx: List[int], depth: int, start_depth: int,
-                    n: int, used: int, node_ints, cell_tables, masks_int,
+                    n: int, used: int, node_ints, cell_tables,
                     max_steps: int, leaves: list, max_leaves: int):
     """One chunk of the explicit-stack DFS on int masks.
 
@@ -365,12 +380,8 @@ def _ecf_chunk_ints(remaining: List[int], placed: List[int],
             child = node_ints[depth] & ~used
         else:
             child = -1
-            for nb_depth, rows in slots:
-                row = rows[assign_idx[nb_depth]]
-                if row < 0:
-                    child = 0
-                    break
-                child &= masks_int[row]
+            for nb_depth, cells in slots:
+                child &= cells[assign_idx[nb_depth]]
                 if not child:
                     break
             if child:
@@ -454,8 +465,7 @@ def _ecf_search_ints(context, plan, start_depth, assignment, used_mask,
         status, depth, used, expanded, considered, backtracks = \
             _ecf_chunk_ints(remaining, placed, assign_idx, depth, start_depth,
                             n, used, plan.node_ints, plan.cell_tables,
-                            plan.masks_int, CHUNK_STEPS, leaves,
-                            _leaf_budget(context, cap))
+                            CHUNK_STEPS, leaves, _leaf_budget(context, cap))
         stats.nodes_expanded += expanded
         stats.candidates_considered += considered
         stats.backtracks += backtracks

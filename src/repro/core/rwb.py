@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.api.registry import Capability, register_algorithm
 from repro.api.request import SearchRequest
 from repro.core import kernel
-from repro.core.base import EmbeddingAlgorithm, SearchContext, placed_neighbor_plan
+from repro.core.base import EmbeddingAlgorithm, SearchContext
 from repro.core.filters import FilterMatrices, build_filters
 from repro.core.ordering import ORDERINGS
 from repro.core.plan import PreparedSearch
@@ -126,20 +126,7 @@ class RWB(EmbeddingAlgorithm):
                                 request.constraint, request.node_constraint,
                                 record_non_matches=False,
                                 deadline=deadline)
-        prepared = PreparedSearch(
-            filters=filters,
-            constraint_evaluations=filters.constraint_evaluations,
-            filter_entries=filters.entry_count,
-            filter_build_seconds=filters.build_seconds)
-
-        if any(not filters.node_candidate_masks.get(node)
-               for node in request.query.nodes()):
-            prepared.infeasible = True
-            return prepared
-
-        prepared.order = self._ordering(request.query, filters)
-        prepared.prior = placed_neighbor_plan(request.query, prepared.order)
-        return prepared
+        return self._prepared_from_filters(request, filters, self._ordering)
 
     def _patch_prepared(self, request: SearchRequest,
                         prepared: PreparedSearch, delta) -> Optional[PreparedSearch]:

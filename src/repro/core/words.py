@@ -1,23 +1,22 @@
-"""Fixed-width word backing for the candidate-set bitmasks.
+"""Fixed-width word encoding of the candidate-set bitmasks.
 
-The in-process mask representation stays an unbounded Python int (PR 2's
-bitset algebra — the accessor API of :class:`~repro.core.filters.FilterMatrices`
-is unchanged).  This module provides the *other* backing of the same masks:
-little-endian ``numpy.uint64`` word arrays, which are
+Bit *i* of a mask lives in word ``i // 64``, bit ``i % 64`` — i.e. a word
+row is exactly ``mask.to_bytes(..., "little")`` viewed as ``uint64``.  That
+layout is the stored form of every filter cell
+(:class:`~repro.core.filters.CellBlock` packs its rows with
+``np.packbits(..., bitorder="little")``) and what the compiled search
+kernel (:mod:`repro.core.kernel`) iterates — fixed-width words admit
+branch-free popcount/ctz and ``nogil`` compilation, which
+arbitrary-precision ints never can.  Python ints are the *derived* form:
+the interpreted kernel and the accessor views of
+:class:`~repro.core.filters.FilterMatrices` decode them from the words on
+demand, and nothing keeps the two in step because only one is ever stored.
 
-* what the compiled search kernel (:mod:`repro.core.kernel`) iterates over —
-  fixed-width words admit branch-free popcount/ctz and ``nogil`` compilation,
-  which arbitrary-precision ints never can;
-* what crosses process boundaries — shard groups and compiled plans pickle
-  contiguous word arrays instead of re-serialising thousands of bignums.
-
-Bit *i* of a mask lives in word ``i // 64``, bit ``i % 64`` — i.e. the word
-array is exactly ``mask.to_bytes(..., "little")`` viewed as ``uint64``.  All
-conversions are loss-free and round-trip exactly, including masks of zero
-and masks whose top bit sits on a word boundary.
-
-Everything here is gated on numpy being importable (``HAVE_NUMPY``); the
-pure-dict pickle path and the Python kernel keep working without it.
+This module holds the conversions between the two forms, all loss-free and
+exact on round trip (including masks of zero and masks whose top bit sits
+on a word boundary), and :class:`WordTable`, the keyed family of word rows
+that carries LNS's small per-node mask dicts across process boundaries and
+backs the :class:`~repro.core.filters.FilterWords` diagnostic views.
 """
 
 from __future__ import annotations
@@ -43,9 +42,7 @@ _WORD_BYTES = WORD_BITS // 8
 
 def _require_numpy() -> None:
     if not HAVE_NUMPY:  # pragma: no cover - numpy is a baked-in dependency
-        raise RuntimeError(
-            "word-array mask backing requires numpy; "
-            "install numpy or stay on the pure-int representation")
+        raise RuntimeError("word-array masks require numpy")
 
 
 def mask_to_words(mask: int, num_words: int):
@@ -135,32 +132,6 @@ class WordTable:
         """Rebuild the ``{key: int_mask}`` dict, order and zeros preserved."""
         ints = unpack_masks(self.words)
         return {key: ints[r] for r, key in enumerate(self.keys)}
-
-    def updated(self, masks: Dict[object, int], touched) -> "WordTable":
-        """A copy with only *touched* rows rewritten from *masks*.
-
-        This is the incremental-patch path: when a churn patch flips a few
-        cells, the untouched rows are block-copied and only the touched rows
-        are re-encoded.  Falls back to a full rebuild (returns a fresh
-        table) when the keys changed *in any way, including order* — row
-        ids are assigned from dict enumeration order downstream
-        (``KernelPlan``), and a patch that deletes a key and re-inserts it
-        moves it to the end of the dict without changing the key set.
-        """
-        if tuple(masks.keys()) != self.keys:
-            return WordTable.from_masks(masks, self.num_bits)
-        words = self.words.copy()
-        nw = self.num_words
-        for key in touched:
-            row = self.rows.get(key)
-            if row is not None:
-                words[row] = mask_to_words(masks[key], nw)
-        table = WordTable.__new__(WordTable)
-        table.keys = self.keys
-        table.words = words
-        table.num_bits = self.num_bits
-        table.rows = dict(self.rows)
-        return table
 
     # ------------------------------------------------------------------ #
     # Pickling: ship a private copy, never a view of the parent buffer

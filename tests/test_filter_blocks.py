@@ -1,0 +1,492 @@
+"""Packed cell blocks: the one stored form of a filter cell.
+
+``FilterMatrices.blocks`` is what ``build_filters`` produces, what
+``patch_filters`` re-packs, what the kernel plans read and what pickling
+ships; every dict- or set-shaped surface is a view decoded from it.  This
+suite pins the properties that make a single store safe:
+
+* patched blocks are array-equal to rebuilt blocks over random attr-only
+  mutation sequences (seeded with the delete / re-insert sequence that broke
+  the carried word tables of the two-representation engine), and the derived
+  views agree with the set-semantics oracle in :mod:`repro.core.reference`;
+* the scalar evaluation pass ends in the same blocks as the batch kernel;
+* the arrays handed to the numba kernel select the cells the int views hold;
+* blocks are row-compressed (a sparse host above the dense-cell guard stays
+  within its byte bound);
+* a shard payload ships blocks and nothing derived from them;
+* a kernel plan does not keep its filters alive.
+"""
+
+from __future__ import annotations
+
+import gc
+import pickle
+import random
+import warnings
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from repro.api import SearchRequest
+from repro.constraints import ConstraintExpression
+from repro.core import (
+    ECF,
+    RWB,
+    build_filters,
+    compile_hosting,
+    kernel,
+    patch_filters,
+)
+from repro.core import filters as filters_module
+from repro.core.base import placed_neighbor_plan
+from repro.core.indexing import word_count
+from repro.core.parallel import ShardGroup, _GROUP_CACHE, _decode_group
+from repro.core.reference import build_filters_reference
+from repro.core.words import mask_to_words
+from repro.graphs.hosting import HostingNetwork
+from repro.graphs.query import QueryNetwork
+
+WINDOW = ConstraintExpression(
+    "rEdge.avgDelay >= vEdge.minDelay && rEdge.avgDelay <= vEdge.maxDelay")
+UP = ConstraintExpression("rNode.up == true")
+
+
+# --------------------------------------------------------------------------- #
+# Workloads
+# --------------------------------------------------------------------------- #
+
+def random_workload(seed: int, directed: bool):
+    """A random embedding problem with churnable attributes; some links lack
+    the delay metric, and a directed host has one-way links."""
+    rng = random.Random(seed)
+    num_hosts = rng.randint(5, 10)
+    hosting = HostingNetwork("hosting", directed=directed)
+    for i in range(num_hosts):
+        hosting.add_node(f"h{i}", up=rng.random() < 0.8)
+    for i in range(num_hosts):
+        for j in range(num_hosts):
+            if i == j or (not directed and i > j) or rng.random() > 0.5:
+                continue
+            if hosting.has_edge(f"h{i}", f"h{j}"):
+                continue
+            attrs = {}
+            if rng.random() < 0.85:
+                attrs["avgDelay"] = rng.uniform(5.0, 60.0)
+            hosting.add_edge(f"h{i}", f"h{j}", **attrs)
+    query = QueryNetwork("query", directed=directed)
+    num_query = rng.randint(2, 5)
+    for i in range(num_query):
+        query.add_node(f"q{i}")
+    for i in range(1, num_query):
+        low = rng.uniform(0.0, 30.0)
+        query.add_edge(f"q{rng.randrange(i)}", f"q{i}",
+                       minDelay=round(low, 3),
+                       maxDelay=round(low + rng.uniform(5.0, 40.0), 3))
+    return query, hosting
+
+
+def reorder_workload(flip: bool):
+    """Six hosts where h0's only in-window edge swaps under churn: one
+    touched row empties h0's cells and another re-fills them, within one
+    patch.  The two-representation engine deleted and re-inserted the dict
+    key there, which moved it to the end of the enumeration."""
+    in_delay, out_delay = (1000.0, 10.0) if flip else (10.0, 1000.0)
+    hosting = HostingNetwork("hosting")
+    for i in range(6):
+        hosting.add_node(f"h{i}", up=True)
+    hosting.add_edge("h0", "h1", avgDelay=in_delay)
+    hosting.add_edge("h0", "h2", avgDelay=out_delay)
+    hosting.add_edge("h1", "h2", avgDelay=10.0)
+    hosting.add_edge("h2", "h3", avgDelay=10.0)
+    hosting.add_edge("h3", "h4", avgDelay=10.0)
+    hosting.add_edge("h4", "h5", avgDelay=10.0)
+    query = QueryNetwork("query")
+    query.add_node("q0")
+    query.add_node("q1")
+    query.add_edge("q0", "q1", minDelay=5.0, maxDelay=30.0)
+    return query, hosting
+
+
+def swap_h0_edges(hosting: HostingNetwork, flip: bool) -> None:
+    hosting.update_edge("h0", "h1", avgDelay=10.0 if flip else 1000.0)
+    hosting.update_edge("h0", "h2", avgDelay=1000.0 if flip else 10.0)
+
+
+def attr_churn(hosting: HostingNetwork, rng: random.Random, steps: int) -> None:
+    """Attr-only mutations, relevant and irrelevant alike."""
+    edges = hosting.edges()
+    nodes = hosting.nodes()
+    for _ in range(steps):
+        roll = rng.random()
+        if edges and roll < 0.55:
+            u, v = rng.choice(edges)
+            hosting.update_edge(u, v, avgDelay=round(rng.uniform(1.0, 80.0), 3))
+        elif edges and roll < 0.65:
+            u, v = rng.choice(edges)
+            hosting.update_edge(u, v, lossRate=round(rng.random(), 3))
+        else:
+            hosting.update_node(rng.choice(nodes), up=rng.random() < 0.7)
+
+
+def assert_blocks_equal(left, right) -> None:
+    """Array-for-array, in the same (canonical) block order."""
+    assert list(left.blocks) == list(right.blocks)
+    assert left.blocks == right.blocks
+    for key, block in left.blocks.items():
+        other = right.blocks[key]
+        assert block.words.dtype == other.words.dtype
+        assert np.array_equal(block.hosts, other.hosts), key
+        assert np.array_equal(block.words, other.words), key
+        assert block.count == other.count
+
+
+# --------------------------------------------------------------------------- #
+# Patched == rebuilt, and both == the set-semantics oracle
+# --------------------------------------------------------------------------- #
+
+class TestPatchedBlocksEqualRebuilt:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(workload=st.one_of(st.integers(0, 10_000), st.booleans()),
+           directed=st.booleans(), screened=st.booleans(),
+           record_non_matches=st.booleans(),
+           churn_seed=st.integers(0, 10_000), rounds=st.integers(1, 4))
+    @example(workload=False, directed=False, screened=False,
+             record_non_matches=True, churn_seed=0, rounds=1)
+    @example(workload=True, directed=False, screened=True,
+             record_non_matches=True, churn_seed=1, rounds=3)
+    def test_patch_sequence_matches_rebuild_and_reference(
+            self, workload, directed, screened, record_non_matches,
+            churn_seed, rounds):
+        """*workload* is a seed for a random problem, or a bool selecting
+        the delete / re-insert scene (whose first round is the swap that
+        triggers it; *directed* is ignored there)."""
+        reorder = isinstance(workload, bool)
+        if reorder:
+            query, hosting = reorder_workload(workload)
+        else:
+            query, hosting = random_workload(workload, directed)
+        node_constraint = UP if screened else None
+        filters = build_filters(query, hosting, WINDOW, node_constraint,
+                                record_non_matches=record_non_matches)
+        rng = random.Random(churn_seed)
+        for round_index in range(rounds):
+            before = filters
+            epoch = hosting.mutation_count
+            if reorder and round_index == 0:
+                swap_h0_edges(hosting, workload)
+            else:
+                attr_churn(hosting, rng, 6)
+            filters = patch_filters(before, query, hosting, WINDOW,
+                                    node_constraint,
+                                    delta=hosting.delta_since(epoch),
+                                    max_row_fraction=1.0)
+            assert filters is not None
+
+            rebuilt = build_filters(query, hosting, WINDOW, node_constraint,
+                                    record_non_matches=record_non_matches)
+            assert_blocks_equal(filters, rebuilt)
+            assert (list(filters.match_masks.items())
+                    == list(rebuilt.match_masks.items()))
+            assert filters.node_candidate_masks == rebuilt.node_candidate_masks
+            assert filters.node_allowed_masks == rebuilt.node_allowed_masks
+
+            reference = build_filters_reference(
+                query, hosting, WINDOW, node_constraint,
+                record_non_matches=record_non_matches)
+            assert filters.match == reference.match
+            assert filters.non_match == reference.non_match
+            assert filters.node_candidates == reference.node_candidates
+            assert filters.entry_count == reference.entry_count
+            assert filters.cell_count == reference.cell_count
+
+    def test_the_swap_really_rewrites_h0(self):
+        """Guards the seeded example above against going vacuous."""
+        for flip in (False, True):
+            query, hosting = reorder_workload(flip)
+            filters = build_filters(query, hosting, WINDOW, None)
+            epoch = hosting.mutation_count
+            swap_h0_edges(hosting, flip)
+            patched = patch_filters(filters, query, hosting, WINDOW, None,
+                                    delta=hosting.delta_since(epoch),
+                                    max_row_fraction=1.0)
+            assert patched.cell("q0", "h0", "q1") != filters.cell("q0", "h0", "q1")
+            assert patched.cell("q0", "h0", "q1")      # emptied, then re-filled
+
+
+# --------------------------------------------------------------------------- #
+# The scalar pass ends in the same blocks as the batch kernel
+# --------------------------------------------------------------------------- #
+
+#: Reads ``rEdge.label`` only behind a disjunct that is true wherever it is
+#: reached, so the verdicts are WINDOW's — but a non-numeric ``label`` column
+#: takes the build out of the vectorizable fragment.
+WINDOW_READING_LABEL = ConstraintExpression(
+    "rEdge.avgDelay >= vEdge.minDelay && rEdge.avgDelay <= vEdge.maxDelay"
+    " && (rEdge.avgDelay >= 0.0 || rEdge.label >= 1.0)")
+
+
+def complete_workload(seed: int):
+    """Every attribute the window reads is present (strict mode is safe)."""
+    query, hosting = random_workload(seed, directed=False)
+    rng = random.Random(seed)
+    for u, v in hosting.edges():
+        hosting.update_edge(u, v, avgDelay=rng.uniform(5.0, 60.0), label="core")
+    return query, hosting
+
+
+class TestScalarProducerParity:
+    @pytest.fixture
+    def scalar_passes(self, monkeypatch):
+        """Counts the builds that ran the scalar evaluation pass."""
+        calls = []
+        scalar = filters_module._pair_verdicts_scalar
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return scalar(*args, **kwargs)
+
+        monkeypatch.setattr(filters_module, "_pair_verdicts_scalar", counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_strict_nonnumeric_and_guarded_builds_equal_vectorized(
+            self, seed, scalar_passes, monkeypatch):
+        query, hosting = complete_workload(seed)
+        vectorized = build_filters(query, hosting, WINDOW, UP)
+        assert not scalar_passes
+
+        strict = build_filters(
+            query, hosting, ConstraintExpression(WINDOW.source, strict=True), UP)
+        labelled = build_filters(query, hosting, WINDOW_READING_LABEL, UP)
+        monkeypatch.setattr(filters_module, "_MAX_DENSE_CELLS", 0)
+        guarded = build_filters(query, hosting, WINDOW, UP)
+        assert len(scalar_passes) == 3
+
+        for scalar in (strict, labelled, guarded):
+            assert_blocks_equal(scalar, vectorized)
+            assert scalar.node_candidate_masks == vectorized.node_candidate_masks
+            assert scalar.entry_count == vectorized.entry_count
+            assert (scalar.constraint_evaluations
+                    == vectorized.constraint_evaluations)
+
+    def test_patch_above_the_guard_equals_rebuild(self, monkeypatch):
+        """One host per packing band (guard at 0): bands carry the base
+        block's bits over exactly as a single band does."""
+        monkeypatch.setattr(filters_module, "_MAX_DENSE_CELLS", 0)
+        query, hosting = complete_workload(5)
+        filters = build_filters(query, hosting, WINDOW, UP)
+        epoch = hosting.mutation_count
+        attr_churn(hosting, random.Random(5), 8)
+        patched = patch_filters(filters, query, hosting, WINDOW, UP,
+                                delta=hosting.delta_since(epoch),
+                                max_row_fraction=1.0)
+        assert_blocks_equal(patched, build_filters(query, hosting, WINDOW, UP))
+
+
+# --------------------------------------------------------------------------- #
+# What the numba kernel is handed
+# --------------------------------------------------------------------------- #
+
+class TestKernelWordArrays:
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_slot_rows_select_the_cells_of_the_int_views(self, seed):
+        """Slot by slot and host by host, ``match_words[slot_rows[s, h]]``
+        is the word row of ``F[(neighbour, host, node)]``; ``-1`` stands for
+        the all-zero row of an empty cell."""
+        query, hosting = random_workload(seed, directed=False)
+        filters = build_filters(query, hosting, WINDOW, None)
+        order = sorted(query.nodes(), key=str)
+        prior = placed_neighbor_plan(query, order)
+        assert any(prior)
+        with kernel.forced("python"):
+            plan = kernel.plan_for(filters, order, prior)
+        match_words, node_words, prior_off, slot_depth, slot_rows, nw = \
+            plan.words()
+        assert nw == word_count(len(hosting.nodes()))
+        assert match_words.dtype == np.uint64 and match_words.shape[1] == nw
+
+        cells = filters.match_masks
+        hosts = filters.host_indexer.nodes
+        slot = 0
+        empty_cells = 0
+        for depth, node in enumerate(order):
+            assert prior_off[depth] == slot
+            for neighbor in prior[depth]:
+                assert slot_depth[slot] == order.index(neighbor)
+                for index, host in enumerate(hosts):
+                    expected = cells.get((neighbor, host, node), 0)
+                    row = slot_rows[slot, index]
+                    if row < 0:
+                        assert expected == 0
+                        empty_cells += 1
+                    else:
+                        assert np.array_equal(match_words[row],
+                                              mask_to_words(expected, nw))
+                slot += 1
+        assert prior_off[len(order)] == slot == slot_rows.shape[0]
+        assert empty_cells      # the workload exercises the -1 sentinel
+        for depth, node in enumerate(order):
+            assert np.array_equal(
+                node_words[depth],
+                mask_to_words(filters.node_candidate_masks[node], nw))
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_word_kernels_reproduce_the_legacy_streams(self, seed, monkeypatch):
+        """Drive the word-array search path end to end.  Without numba the
+        kernel sources run uncompiled (same code, interpreted), which is
+        enough to pin what ``KernelPlan.words()`` feeds them."""
+        def signature(result):
+            return ([list(m.as_dict().items()) for m in result.mappings],
+                    result.stats.nodes_expanded,
+                    result.stats.candidates_considered,
+                    result.stats.backtracks)
+
+        query, hosting = random_workload(seed, directed=bool(seed % 2))
+        request = SearchRequest.build(query, hosting, constraint=WINDOW,
+                                      max_results=50)
+        for make in (ECF, lambda: RWB(seed=7)):
+            with kernel.forced("legacy"):
+                legacy = make().request(request)
+            with monkeypatch.context() as patch, warnings.catch_warnings():
+                # uint64 popcount multiplies wrap by design.
+                warnings.simplefilter("ignore", RuntimeWarning)
+                patch.setattr(kernel, "_NUMBA",
+                              {"ecf": kernel._nb_ecf_chunk,
+                               "rwb": kernel._nb_rwb_candidates})
+                patch.setattr(kernel, "_BACKEND", "numba")
+                words = make().request(request)
+            assert signature(words) == signature(legacy)
+
+
+# --------------------------------------------------------------------------- #
+# Row compression on a sparse host above the dense-cell guard
+# --------------------------------------------------------------------------- #
+
+class TestSparseHostBytes:
+    def test_block_bytes_are_bounded_by_the_non_empty_cells(self):
+        num_hosts = 8_100
+        assert num_hosts * num_hosts > filters_module._MAX_DENSE_CELLS
+        hosting = HostingNetwork("ring")
+        for i in range(num_hosts):
+            hosting.add_node(f"h{i:04d}")
+        for i in range(num_hosts):
+            # One link in six sits inside the query's window.
+            hosting.add_edge(f"h{i:04d}", f"h{(i + 1) % num_hosts:04d}",
+                             avgDelay=10.0 if i % 6 == 0 else 50.0)
+        query = QueryNetwork("pair")
+        query.add_node("a")
+        query.add_node("b")
+        query.add_edge("a", "b", minDelay=5.0, maxDelay=30.0)
+
+        filters = build_filters(query, hosting, WINDOW, None,
+                                record_non_matches=False)
+        num_words = word_count(num_hosts)
+        assert list(filters.blocks) == [("a", "b"), ("b", "a")]
+        for block in filters.blocks.values():
+            cells = len(block.hosts)
+            assert cells == 2 * (num_hosts // 6)       # both ends of a link
+            assert block.words.shape == (cells, num_words)
+            assert block.nbytes <= cells * num_words * 8 + 8 * num_hosts
+            assert block.nbytes < num_hosts * num_words * 8 // 2   # vs dense
+        assert filters.cell_count == 4 * (num_hosts // 6)
+        assert filters.cell("a", "h0000", "b") == {"h0001"}
+        assert filters.cell("a", "h0001", "b") == {"h0000"}
+        assert filters.cell("a", "h0002", "b") == frozenset()
+        assert filters.candidate_count("a") == 2 * (num_hosts // 6)
+
+
+# --------------------------------------------------------------------------- #
+# Pickling through the shard payload path
+# --------------------------------------------------------------------------- #
+
+def ship(prepared):
+    """Round-trip *prepared* the way ``run_sharded`` ships it to a worker."""
+    group = ShardGroup(algorithm=ECF(), prepared=prepared, max_results=3)
+    blob = pickle.dumps(group, protocol=pickle.HIGHEST_PROTOCOL)
+    token = f"test-filter-blocks:{id(prepared)}"
+    try:
+        return _decode_group(token, ("bytes", blob, "")).prepared
+    finally:
+        _GROUP_CACHE.pop(token, None)
+
+
+class TestShardPayload:
+    def test_built_and_patched_snapshots_ship_blocks_only(self, monkeypatch):
+        monkeypatch.setattr(filters_module, "PATCH_ROW_FRACTION", 1.0)
+        query, hosting = random_workload(21, directed=False)
+        request = SearchRequest.build(query, hosting, constraint=WINDOW,
+                                      node_constraint=UP, max_results=3)
+        built = ECF().prepare(request)
+        built.execute()         # caches a kernel plan on the snapshot
+        attr_churn(hosting, random.Random(21), 6)
+        patched = built.refresh()
+        assert patched.refresh_mode == "patched"
+        patched.execute()
+
+        for plan in (built, patched):
+            filters = plan.prepared.filters
+            assert getattr(filters, "_kernel_plan", None) is not None
+            state = filters.__getstate__()
+            assert "blocks" in state and "_kernel_plan" not in state
+            assert not any("mask" in name and "node" not in name
+                           for name in state)    # no dict-of-int cell view
+            clone = ship(plan.prepared).filters
+            assert getattr(clone, "_kernel_plan", None) is None
+            assert_blocks_equal(clone, filters)
+            for key, block in clone.blocks.items():
+                assert not np.shares_memory(block.words,
+                                            filters.blocks[key].words)
+            assert clone.match_masks == filters.match_masks
+            assert clone.non_match_masks == filters.non_match_masks
+            assert clone.node_candidate_masks == filters.node_candidate_masks
+            assert clone.entry_count == filters.entry_count
+            assert clone.patches == filters.patches
+
+
+# --------------------------------------------------------------------------- #
+# A kernel plan does not keep its filters alive
+# --------------------------------------------------------------------------- #
+
+class TestPlanLifetime:
+    def test_dropped_plan_is_freed_without_the_cycle_collector(self):
+        query, hosting = random_workload(31, directed=False)
+        request = SearchRequest.build(query, hosting, constraint=WINDOW,
+                                      max_results=2)
+        gc.collect()
+        gc.disable()
+        try:
+            with kernel.forced("python"):
+                plan = ECF().prepare(request)
+                plan.execute()
+            filters = plan.prepared.filters
+            assert getattr(filters, "_kernel_plan", None) is not None
+            alive = weakref.ref(filters)
+            del plan, filters
+            assert alive() is None
+        finally:
+            gc.enable()
+
+
+# --------------------------------------------------------------------------- #
+# Node screening without a node constraint
+# --------------------------------------------------------------------------- #
+
+class TestUnconstrainedScreening:
+    @pytest.mark.parametrize("node_constraint",
+                             [None, ConstraintExpression.always_true()])
+    def test_every_query_node_gets_the_full_mask(self, node_constraint):
+        query, hosting = random_workload(41, directed=False)
+        query.add_node("alone")
+        filters = build_filters(query, hosting, WINDOW, node_constraint)
+        full = compile_hosting(hosting).indexer.full_mask
+        assert filters.node_allowed_masks == {node: full
+                                              for node in query.nodes()}
+        assert filters.node_candidate_masks["alone"] == full
+        screened = build_filters(
+            query, hosting, WINDOW, ConstraintExpression("rNode.up == rNode.up"))
+        assert_blocks_equal(filters, screened)

@@ -314,24 +314,22 @@ class TestPatchedWordParity:
         return query, hosting
 
     def test_patch_reorder_keeps_word_rows_aligned(self):
-        # A patch that empties a cell deletes its key; a later row in the
-        # SAME patch can re-set the cell, re-inserting the key at the end
-        # of the dict — identical key set, different enumeration order.
-        # KernelPlan assigns kernel row ids from dict enumeration order, so
-        # the carried word table must follow the new order exactly or the
-        # numba backend intersects the wrong match masks.
+        # One touched row of this patch empties h0's cell and another row
+        # of the SAME patch re-fills it.  When cells were dict entries that
+        # deleted the key and re-inserted it at the end — identical key
+        # set, different enumeration order — and every consumer numbering
+        # rows by enumeration had to chase it.  Cells now have one stored
+        # form whose views enumerate in canonical order, so a patched
+        # snapshot must list its cells exactly as a rebuilt one does, order
+        # included, and the word tables follow the same order.
         from repro.core import build_filters
         from repro.core.filters import patch_filters
 
-        reordered_any = False
         for flip in (False, True):
             query, hosting = self._reorder_workload(flip)
             filters = build_filters(query, hosting, WINDOW, None)
-            filters.words()     # materialise so the patch carries tables
-            base_order = list(filters.match_masks)
             epoch = hosting.mutation_count
-            # Swap which h0 edge satisfies the window: h0's cells empty
-            # under one touched row and re-fill under the other.
+            # Swap which h0 edge satisfies the window.
             hosting.update_edge("h0", "h1",
                                 avgDelay=1000.0 if not flip else 10.0)
             hosting.update_edge("h0", "h2",
@@ -341,14 +339,16 @@ class TestPatchedWordParity:
             patched = patch_filters(filters, query, hosting, WINDOW, None,
                                     delta=delta, max_row_fraction=1.0)
             assert patched is not None
-            reordered_any |= list(patched.match_masks) != base_order
+            assert patched.match_masks != filters.match_masks   # h0 moved
+            rebuilt = build_filters(query, hosting, WINDOW, None)
+            assert (list(patched.match_masks.items())
+                    == list(rebuilt.match_masks.items()))
+            assert (list(patched.non_match_masks.items())
+                    == list(rebuilt.non_match_masks.items()))
+            assert patched.node_candidate_masks == rebuilt.node_candidate_masks
             words = patched.words()
-            assert tuple(words.match.keys) == tuple(patched.match_masks)
+            assert tuple(words.match.keys) == tuple(rebuilt.match_masks)
             assert (list(words.match.to_masks().items())
                     == list(patched.match_masks.items()))
             assert (list(words.non_match.to_masks().items())
                     == list(patched.non_match_masks.items()))
-            rebuilt = build_filters(query, hosting, WINDOW, None)
-            assert patched.match_masks == rebuilt.match_masks
-            assert patched.node_candidate_masks == rebuilt.node_candidate_masks
-        assert reordered_any    # the churn really moved a key's position

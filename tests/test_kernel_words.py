@@ -102,32 +102,6 @@ class TestWordTable:
         assert table.mask_of(("q1", "h0")) == 0
         assert table.row_of(("missing",)) == -1
 
-    def test_updated_rewrites_rows_in_place(self):
-        masks = {"a": 1, "b": 2, "c": 3}
-        table = WordTable.from_masks(masks, num_bits=8)
-        masks2 = {"a": 1, "b": 7, "c": 3}
-        patched = table.updated(masks2, touched={"b"})
-        assert patched.to_masks() == masks2
-        assert table.to_masks() == masks  # original untouched
-
-    def test_updated_key_set_change_falls_back_to_rebuild(self):
-        table = WordTable.from_masks({"a": 1, "b": 2}, num_bits=8)
-        patched = table.updated({"a": 1, "b": 2, "c": 4}, touched={"c"})
-        assert patched.to_masks() == {"a": 1, "b": 2, "c": 4}
-
-    def test_updated_key_reorder_falls_back_to_rebuild(self):
-        # A patch can empty a cell (its key is deleted) and re-set it later
-        # in the same pass, re-inserting the key at the end of the dict:
-        # identical key *set*, different order.  Row ids downstream
-        # (KernelPlan) come from dict enumeration order, so the fast path
-        # must rebuild rather than carry the stale row order.
-        table = WordTable.from_masks({"a": 1, "b": 2, "c": 3}, num_bits=8)
-        reordered = {"a": 1, "c": 3, "b": 4}   # "b" deleted, re-set at end
-        patched = table.updated(reordered, touched={"b"})
-        assert list(patched.to_masks()) == ["a", "c", "b"]
-        assert patched.to_masks() == reordered
-        assert [patched.row_of(k) for k in reordered] == [0, 1, 2]
-
     def test_pickle_copies_storage(self):
         table = WordTable.from_masks({"a": 3, "b": 1 << 64}, num_bits=70)
         clone = pickle.loads(pickle.dumps(table))
