@@ -89,19 +89,6 @@ TRACKED: Dict[str, List[Metric]] = {
         Metric("engines.0.mappings_found", kind="exact"),
         Metric("engines.1.mappings_found", kind="exact"),
     ],
-    "BENCH_kernel.json": [
-        # Byte-identity is the kernel's whole contract: a fast-but-wrong
-        # backend must fail the gate, not just review.
-        Metric("parity.streams_identical", kind="exact"),
-        Metric("parity.counters_identical", kind="exact"),
-        Metric("rwb.streams_identical", kind="exact"),
-        Metric("engines.0.mappings_found", kind="exact"),
-        Metric("engines.1.mappings_found", kind="exact"),
-        # Search time at smoke scale is milliseconds, so the ratio gate is
-        # deliberately loose — it exists to catch order-of-magnitude
-        # kernel regressions, not scheduler jitter.
-        Metric("comparison.speedup_search", tolerance=0.60),
-    ],
     "BENCH_plan.json": [
         Metric("comparison.speedup_amortized_wall", tolerance=0.50),
         Metric("engines.0.mappings_found", kind="exact"),

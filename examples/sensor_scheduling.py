@@ -11,7 +11,7 @@ The infrastructure is a transit-stub field deployment: gateway (transit)
 nodes with stub clusters of sensors.  Three applications request sensor
 sub-topologies with capability constraints; the scheduler books each request
 into the earliest time window whose remaining sensors can host it, and the
-hierarchical embedder shows how a per-building (per-domain) NETEMBED server
+cluster coordinator shows how per-building (per-domain) NETEMBED servers
 would have answered the same queries.
 
 Run with:  python examples/sensor_scheduling.py
@@ -20,8 +20,9 @@ Run with:  python examples/sensor_scheduling.py
 from __future__ import annotations
 
 from repro import QueryNetwork
+from repro.cluster import ClusterCoordinator
 from repro.core import LNS
-from repro.extensions import EmbeddingScheduler, HierarchicalEmbedder, partition_by_attribute
+from repro.extensions import EmbeddingScheduler, partition_by_attribute
 from repro.topology import transit_stub
 from repro.utils.rng import as_rng
 
@@ -87,21 +88,24 @@ def main() -> None:
     print(f"  bookings held: {len(scheduler.calendar)}\n")
 
     # ------------------------------------------------------------------ #
-    # Hierarchical (per-domain) embedding of the camera request.
+    # Partitioned (per-domain) embedding of the camera request.
     # ------------------------------------------------------------------ #
     domains = partition_by_attribute(field, "domain")
-    embedder = HierarchicalEmbedder(field, domains, algorithm=LNS())
+    coordinator = ClusterCoordinator(field, partition_map=domains,
+                                     algorithm=LNS())
     camera_query = monitoring_request("camera-survey", sensors=2, needs_camera=True)
-    outcome = embedder.embed(camera_query, constraint=delay_budget,
-                             node_constraint=capability, max_results=1)
-    print("hierarchical embedding of the camera survey:")
-    print(f"  domains tried: {[o.domain for o in outcome.domain_outcomes]}")
+    outcome = coordinator.embed(camera_query, constraint=delay_budget,
+                                node_constraint=capability, max_results=1)
+    print("partitioned embedding of the camera survey:")
+    searched = [o.partition for o in outcome.outcomes if o.status != "pruned"]
+    print(f"  domains searched: {searched} ({outcome.partitions_pruned} pruned)")
     if outcome.found:
-        where = outcome.winning_domain
-        print(f"  placed {'globally' if outcome.used_global_fallback else f'inside {where}'}: "
-              + ", ".join(f"{q}->{r}" for q, r in sorted(outcome.result.first.items())))
+        where = ("across domains" if outcome.used_cross_partition
+                 else f"inside {outcome.partition}")
+        print(f"  placed {where}: "
+              + ", ".join(f"{q}->{r}" for q, r in sorted(outcome.first.items())))
     else:
-        print("  no domain (nor the global view) can host the survey")
+        print(f"  no placement found (verdict: {outcome.verdict})")
 
 
 if __name__ == "__main__":

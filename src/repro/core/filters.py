@@ -37,7 +37,7 @@ dict-of-set surfaces (``match`` / ``non_match`` / ``node_candidates``) and
 the set-returning accessors (:meth:`FilterMatrices.cell`,
 :meth:`~FilterMatrices.candidates_given`,
 :meth:`~FilterMatrices.candidates_unplaced`) are read-only views decoded from
-the blocks per call — for tests, diagnostics and the legacy oracle loop —
+the blocks per call — for tests and diagnostics; no search reads them —
 and enumerate in one canonical order (query pair order, ``ab`` before
 ``ba``, ascending host index) whether the snapshot was built or patched.
 The set-semantics oracle they are tested against lives in
@@ -56,7 +56,7 @@ from repro.constraints import ConstraintExpression
 from repro.constraints.ast_nodes import referenced_attributes
 from repro.constraints.vectorizer import cached_vector_kernel
 from repro.core.indexing import WORD_BITS, NodeIndexer, word_count
-from repro.core.words import WordTable, unpack_masks, words_to_mask
+from repro.core.words import unpack_masks, words_to_mask
 from repro.graphs.hosting import HostingNetwork
 from repro.graphs.journal import NetworkDelta
 from repro.graphs.network import Edge, Network, NodeId
@@ -123,30 +123,6 @@ class CellBlock:
     __hash__ = None
 
 
-class FilterWords:
-    """:class:`~repro.core.words.WordTable` views of one filter snapshot.
-
-    Match / non-match / node-candidate / node-screening tables over the same
-    dense host index, encoded from the mask views each time
-    :meth:`FilterMatrices.words` is called.  A diagnostic surface for tests
-    and parity checks; nothing on the build, patch, search or pickle path
-    reads it.
-    """
-
-    __slots__ = ("num_bits", "match", "non_match", "node_candidates",
-                 "node_allowed")
-
-    def __init__(self, filters: "FilterMatrices") -> None:
-        num_bits = len(filters.host_indexer)
-        self.num_bits = num_bits
-        self.match = WordTable.from_masks(filters.match_masks, num_bits)
-        self.non_match = WordTable.from_masks(filters.non_match_masks, num_bits)
-        self.node_candidates = WordTable.from_masks(
-            filters.node_candidate_masks, num_bits)
-        self.node_allowed = WordTable.from_masks(
-            filters.node_allowed_masks, num_bits)
-
-
 @dataclass
 class FilterMatrices:
     """The match filter ``F``, the derived non-match filter ``F̄`` and the
@@ -154,7 +130,8 @@ class FilterMatrices:
 
     :attr:`blocks` is the only stored form of the cells; the kernel plans of
     :mod:`repro.core.kernel` read it directly and everything dict- or
-    set-shaped below is a view decoded from it per call.
+    set-shaped below — the mask accessors included — is a view decoded from
+    it per call, with no caller on a search path.
     """
 
     #: Dense index over the hosting nodes; bit order == ``sorted(key=str)``.
@@ -187,13 +164,6 @@ class FilterMatrices:
         """Whether ``F̄`` counts towards :attr:`entry_count` and shows in the
         views (it costs no build or patch time either way)."""
         return self.arcs is not None
-
-    def __getstate__(self):
-        """Pickle the blocks and the small per-node dicts; the kernel plan
-        cached on the snapshot is derived and stays behind."""
-        state = dict(self.__dict__)
-        state.pop("_kernel_plan", None)
-        return state
 
     # ------------------------------------------------------------------ #
     # Size accounting
@@ -280,10 +250,6 @@ class FilterMatrices:
                 if mask:
                     derived[(placed, node_at(index), following)] = mask
         return derived
-
-    def words(self) -> FilterWords:
-        """:class:`FilterWords` tables encoded from the views (diagnostics)."""
-        return FilterWords(self)
 
     # ------------------------------------------------------------------ #
     # Candidate-set algebra (decode views over the masks)

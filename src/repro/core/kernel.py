@@ -1,37 +1,38 @@
-"""Compiled search kernel for the ECF/RWB inner loops.
+"""The search kernel: the one engine behind ECF and RWB.
 
-PR 2's bitset engine still walks the ECF stack in pure Python and does its
-candidate algebra on unbounded ints — search only got ~2x where filter
-construction got ~29x.  This module moves the explicit-stack inner loops
-behind a backend switch:
+ECF's explicit-stack depth-first expansion and RWB's candidate algebra run
+here, over a :class:`KernelPlan` — the search-ready view of one
+``(filters, order, prior)`` triple — on one of two backends:
 
-* ``python`` — a chunked pure-Python driver over int masks, with the
-  per-expansion dict/attribute traffic of the legacy loop hoisted into
-  dense per-slot cell tables (a :class:`KernelPlan`) decoded from the
-  filters' packed blocks — only the one direction of each query edge the
-  visiting order uses.  Always available.
+* ``python`` — a chunked pure-Python driver over int masks, reading dense
+  per-slot cell tables decoded from the filters' packed blocks — only the
+  one direction of each query edge the visiting order uses.  Always
+  available.
 * ``numba`` — the same algorithm transliterated to ``numba.njit`` over the
   blocks' fixed-width ``uint64`` words themselves (:mod:`repro.core.words`),
   compiled ``nogil`` so thread-based shards can actually scale.  Selected
   only when numba imports *and* passes a tiny compile-and-verify self-test;
   otherwise the python backend takes over with a warning.
-* ``legacy`` — disable the kernel entirely; callers fall back to the PR 2
-  loops.  This is the reference the parity gates compare against.
 
 Selection happens once at import from ``REPRO_KERNEL`` (``auto`` | ``python``
-| ``numba`` | ``legacy``; default ``auto`` = numba when available, else
-python) and can be overridden programmatically via :func:`set_backend` /
-:func:`forced`.
+| ``numba``; default ``auto`` = numba when available, else python) and can
+be overridden programmatically via :func:`set_backend` / :func:`forced`.
+
+Expression (2) — the intersection of the filter cells indexed by a node's
+placed neighbours — is written here and nowhere else in the production
+path: :func:`candidates_mask` for the interpreted backend (the chunk loop
+inlines the same chain) and the njit sources for the compiled one.
 
 **Byte-identity contract.**  Whatever the backend, the mapping stream and
 the evaluation counters (``nodes_expanded`` / ``candidates_considered`` /
-``backtracks``) are identical to the legacy loops: candidates are tried
-lowest-bit-first (the canonical ``sorted(key=str)`` order), expansions are
-counted before the emptiness test, and a result cap pauses the kernel at
-exactly the capping leaf.  The one sanctioned divergence is deadline
-granularity: the legacy loop polls the deadline every node, the kernel polls
-between chunks (a few thousand expansions), so a *timed-out* run may stop a
-chunk-width later — never a completed one.
+``backtracks``) are identical to the reference engine's
+(:mod:`repro.core.reference`, set semantics over its own filter build):
+candidates are tried lowest-bit-first (the canonical ``sorted(key=str)``
+order), expansions are counted before the emptiness test, and a result cap
+pauses the kernel at exactly the capping leaf.  The one sanctioned
+divergence is deadline granularity: the reference polls the deadline every
+node, the kernel polls between chunks (a few thousand expansions), so a
+*timed-out* run may stop a chunk-width later — never a completed one.
 """
 
 from __future__ import annotations
@@ -52,11 +53,11 @@ __all__ = [
     "forced",
     "require_backend",
     "describe",
-    "plan_for",
+    "numba_available",
+    "candidates_mask",
     "ecf_search",
     "RwbCursor",
     "KernelPlan",
-    "HAVE_NUMBA",
 ]
 
 #: Expansions per kernel chunk before control returns to Python for the
@@ -71,7 +72,7 @@ _DONE = 0
 _PAUSED = 1
 
 _ENV_VAR = "REPRO_KERNEL"
-_VALID = ("auto", "python", "numba", "legacy")
+_VALID = ("auto", "python", "numba")
 
 _BACKEND = "python"
 _NUMBA: Optional[dict] = None
@@ -115,7 +116,7 @@ def _load_numba() -> Optional[dict]:
 
 def _resolve(name: str) -> str:
     """Map a requested backend name to the one actually available."""
-    if name == "legacy" or name == "python":
+    if name == "python":
         return name
     if name == "numba":
         if _load_numba() is None:
@@ -140,7 +141,7 @@ def _init_from_env() -> str:
 
 
 def active_backend() -> str:
-    """The backend in use: ``"python"``, ``"numba"`` or ``"legacy"``."""
+    """The backend in use: ``"python"`` or ``"numba"``."""
     return _BACKEND
 
 
@@ -163,7 +164,7 @@ def set_backend(name: str) -> str:
 
 @contextmanager
 def forced(name: str):
-    """Temporarily pin the backend (``legacy`` runs the PR 2 loops).
+    """Temporarily pin the backend.
 
     Same caveat as :func:`set_backend`: not safe while searches are in
     flight on other threads — both the pin and the restore are global."""
@@ -185,11 +186,20 @@ def require_backend(name: str) -> None:
             f"(REPRO_KERNEL={os.environ.get(_ENV_VAR, '')!r})")
 
 
+def numba_available() -> bool:
+    """Whether the numba kernels load and verify in this process.
+
+    A call-time fact, not an import-time one: under ``REPRO_KERNEL=python``
+    nothing probes numba at import, so the first call here makes the (once
+    per process) load attempt."""
+    return _load_numba() is not None
+
+
 def describe() -> Dict[str, object]:
     """Diagnostic snapshot (surfaced by ``EmbeddingPlan.describe`` and CI)."""
     return {
         "backend": _BACKEND,
-        "numba_available": HAVE_NUMBA,
+        "numba_available": numba_available(),
         "env": os.environ.get(_ENV_VAR),
         "chunk_steps": CHUNK_STEPS,
         "chunk_leaves": CHUNK_LEAVES,
@@ -203,21 +213,21 @@ def describe() -> Dict[str, object]:
 class KernelPlan:
     """The search-ready view of one ``(filters, order, prior)`` triple.
 
-    The legacy loop pays a tuple-hash dict lookup per (neighbour, host)
-    pair per expansion.  The plan pays them all once: every depth gets one
-    *slot* per prior neighbour, and a slot reads the one direction of that
-    query edge the visiting order uses — the filters' packed
-    :class:`~repro.core.filters.CellBlock` for ``(neighbour, node)``.  The
-    python backend expands each slot's block into a dense ``host index ->
-    int mask`` list (an empty cell is a zero mask, which prunes the branch
-    like any other empty intersection); the numba backend stacks the same
-    blocks into one word array with a ``host index -> row`` table per slot
-    (``-1`` = empty cell).
+    Every depth gets one *slot* per prior neighbour, and a slot reads the
+    one direction of that query edge the visiting order uses — the filters'
+    packed :class:`~repro.core.filters.CellBlock` for ``(neighbour, node)``.
+    The python backend expands each slot's block into a dense ``host index
+    -> int mask`` list (an empty cell is a zero mask, which prunes the
+    branch like any other empty intersection); the numba backend stacks the
+    same blocks into one word array with a ``host index -> row`` table per
+    slot (``-1`` = empty cell).
 
-    A plan holds the blocks and ints it reads, never the filters object, so
-    caching it on the snapshot (:func:`plan_for`) creates no reference
-    cycle.  Plans are derived caches: rebuilt on demand and never pickled
-    (shards rebuild from the shipped blocks in their own process).
+    A plan is a function of its triple and nothing else, so the
+    :class:`~repro.core.plan.PreparedSearch` that holds the triple owns it
+    (:meth:`~repro.core.plan.PreparedSearch.kernel_plan`): built on first
+    search, never pickled (shards rebuild from the shipped blocks in their
+    own process).  It holds the blocks and ints it reads, never the filters
+    or the prepared search, so owning it creates no reference cycle.
     """
 
     __slots__ = ("order", "prior", "indexer", "host_nodes", "depth_of", "n",
@@ -297,31 +307,17 @@ class KernelPlan:
         return cached
 
 
-_PLAN_ATTR = "_kernel_plan"
-
-
-def plan_for(filters, order: Sequence, prior: Sequence) -> Optional[KernelPlan]:
-    """The cached :class:`KernelPlan` for this triple, or ``None`` when the
-    kernel is disabled (``legacy`` backend) or the plan is degenerate."""
-    if _BACKEND == "legacy" or not order:
-        return None
-    plan = getattr(filters, _PLAN_ATTR, None)
-    if (plan is None or plan.order != tuple(order)
-            or plan.prior != tuple(tuple(p) for p in prior)):
-        plan = KernelPlan(filters, order, prior)
-        try:
-            setattr(filters, _PLAN_ATTR, plan)
-        except AttributeError:  # pragma: no cover - slotted stand-ins
-            pass
-    return plan
-
-
 # ---------------------------------------------------------------------- #
 # Shared candidate algebra (python ints)
 # ---------------------------------------------------------------------- #
 
-def _candidates_int(plan: KernelPlan, depth: int, assign_idx, used: int) -> int:
-    """Expression (2)/(1) over the plan's cell tables, minus used hosts."""
+def candidates_mask(plan: KernelPlan, depth: int, assign_idx, used: int) -> int:
+    """Expression (2) for ``order[depth]`` over the plan's cell tables
+    (expression (1) when no neighbour is placed), minus used hosts.
+
+    *assign_idx* holds the host index placed at each earlier depth.  Every
+    expansion outside a chunk goes through here: the search's root, ECF's
+    shard-split prefix levels and the interpreted RWB cursor."""
     slots = plan.cell_tables[depth]
     if slots is None:
         mask = plan.node_ints[depth]
@@ -344,11 +340,11 @@ def _ecf_chunk_ints(remaining: List[int], placed: List[int],
                     max_steps: int, leaves: list, max_leaves: int):
     """One chunk of the explicit-stack DFS on int masks.
 
-    Mirrors ``ECF._search`` exactly — lowest-bit-first trials, expansions
-    counted before the emptiness test, a backtrack counted per freshly
-    empty child — but buffers leaves (as assignment-index rows) instead of
-    recording them inline, and returns after *max_steps* expansions or
-    *max_leaves* leaves so the driver can poll the deadline and flush.
+    Lowest-bit-first trials, expansions counted before the emptiness test,
+    a backtrack counted per freshly empty child.  Leaves are buffered (as
+    assignment-index rows) and the chunk returns after *max_steps*
+    expansions or *max_leaves* leaves so the driver can poll the deadline
+    and flush.  The child expansion inlines :func:`candidates_mask`.
     """
     steps = expanded = considered = backtracks = 0
     last = n - 1
@@ -401,7 +397,7 @@ def _ecf_chunk_ints(remaining: List[int], placed: List[int],
 def _leaf_budget(context, n_mapped_cap: Optional[int]) -> int:
     """Leaves the next chunk may buffer: the result cap (minus what is
     already recorded) bounds it so the kernel pauses at exactly the capping
-    leaf and never explores — or counts — past what the legacy loop would."""
+    leaf and never explores — or counts — past what the reference would."""
     if n_mapped_cap is None:
         return CHUNK_LEAVES
     return max(1, min(CHUNK_LEAVES, n_mapped_cap - len(context.mappings)))
@@ -410,11 +406,17 @@ def _leaf_budget(context, n_mapped_cap: Optional[int]) -> int:
 def ecf_search(context, plan: KernelPlan, start_depth: int = 0,
                assignment: Optional[dict] = None, used_mask: int = 0,
                start_mask: Optional[int] = None) -> bool:
-    """Kernel-backed equivalent of ``ECF._search`` (same contract: ``False``
-    iff the search stopped early on the result cap)."""
-    # The legacy loop checks the deadline before its first expansion; an
-    # already-expired budget must surface zero mappings here too, not a
-    # chunk's worth.  Mid-run granularity stays chunk-width (sanctioned).
+    """ECF's ordered depth-first search (Fig. 4).  Returns ``False`` iff the
+    search stopped early on the result cap.
+
+    A shard of the parallel engine resumes below an assignment prefix:
+    *start_depth* / *assignment* / *used_mask* describe the prefix and
+    *start_mask* is its precomputed (and already counted, by
+    ``ECF._shard_specs``) candidate mask for ``order[start_depth]``;
+    backtracking bottoms out at the prefix instead of the root.
+    """
+    # An already-expired budget must surface zero mappings, not a chunk's
+    # worth.  Mid-run granularity stays chunk-width (sanctioned).
     context.check_deadline()
     if _BACKEND == "numba" and _NUMBA is not None:
         return _ecf_search_words(context, plan, start_depth, assignment,
@@ -439,7 +441,7 @@ def _ecf_search_ints(context, plan, start_depth, assignment, used_mask,
     _prefix_indices(plan, prefix, assign_idx)
 
     if start_mask is None:
-        mask = _candidates_int(plan, start_depth, assign_idx, used_mask)
+        mask = candidates_mask(plan, start_depth, assign_idx, used_mask)
         stats.nodes_expanded += 1
         stats.candidates_considered += mask.bit_count()
         if not mask:
@@ -491,7 +493,7 @@ def _ecf_search_words(context, plan, start_depth, assignment, used_mask,
     _prefix_indices(plan, prefix, assign_idx)
 
     if start_mask is None:
-        mask = _candidates_int(plan, start_depth, assign_idx, used_mask)
+        mask = candidates_mask(plan, start_depth, assign_idx, used_mask)
         stats.nodes_expanded += 1
         stats.candidates_considered += mask.bit_count()
         if not mask:
@@ -547,8 +549,9 @@ class RwbCursor:
     stream identity is pinned to ``random.Random`` — but its candidate-set
     computation is the same expression-(2) chain as ECF and runs on the
     kernel tables here.  ``candidates(depth)`` returns host *indices* in
-    ascending order, which is exactly the decode order the legacy walk
-    shuffles, so the seeded permutations coincide.
+    ascending order — the canonical ``sorted(key=str)`` order the reference
+    walk shuffles — so the seeded permutations coincide
+    (``random.shuffle`` depends only on the length and the rng state).
     """
 
     __slots__ = ("_plan", "_numba", "_used", "_assign", "_scratch", "_out")
@@ -591,7 +594,7 @@ class RwbCursor:
                                   prior_off, slot_depth, slot_rows,
                                   match_words, nw, self._scratch, self._out)
             return [int(h) for h in self._out[:count]]
-        mask = _candidates_int(plan, depth, self._assign, self._used)
+        mask = candidates_mask(plan, depth, self._assign, self._used)
         out = []
         while mask:
             low = mask & -mask
@@ -858,4 +861,3 @@ def _self_test(table: dict) -> None:
 
 
 _BACKEND = _init_from_env()
-HAVE_NUMBA = _NUMBA is not None

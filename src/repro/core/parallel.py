@@ -585,7 +585,7 @@ def run_sharded(algorithm, context, prepared, parallelism: int,
         if inproc:
             # Thread shards share the parent's address space: hand the
             # group over by reference and skip the pickle round-trip (the
-            # compiled artifacts — word tables, kernel plans — are only
+            # compiled artifacts — packed blocks, the kernel plan — are only
             # *read* by shards, so sharing is safe).  The empty sentinel
             # still carries the abandonment signal.
             _INPROC_GROUPS[token] = group

@@ -29,16 +29,15 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.api.request import Budget, SearchRequest
-from repro.constraints.vectorizer import HAVE_NUMPY
 from repro.core.filters import FilterMatrices
 from repro.core.indexing import NodeIndexer
+from repro.core.kernel import KernelPlan, active_backend
 from repro.core.mapping import Mapping
 from repro.core.result import EmbeddingResult
-from repro.core.words import WordTable
 
 NodeId = Hashable
 
@@ -90,34 +89,25 @@ class PreparedSearch:
     constraint_evaluations: int = 0
     filter_entries: int = 0
     filter_build_seconds: float = 0.0
+    #: ECF/RWB: :meth:`kernel_plan`'s memo — derived, so never pickled.
+    _kernel_plan: Optional[KernelPlan] = field(
+        default=None, init=False, repr=False, compare=False)
 
-    #: The LNS mask dicts that travel as word tables across pickle
-    #: boundaries (the ECF/RWB masks do the same inside FilterMatrices).
-    _WORD_FIELDS = ("allowed_masks", "adjacency_masks")
+    def kernel_plan(self) -> KernelPlan:
+        """ECF/RWB: the search-ready view of this object's one
+        ``(filters, order, prior)``, built on first search and kept."""
+        plan = self._kernel_plan
+        if plan is None:
+            plan = self._kernel_plan = KernelPlan(self.filters, self.order,
+                                                  self.prior)
+        return plan
 
     def __getstate__(self):
-        """Ship the mask dicts as fixed-width word tables.
-
-        The word tables pickle private copies of their arrays (see
-        :class:`~repro.core.words.WordTable`), so a shard payload never
-        aliases this object's buffers; compiled-kernel plans live on the
-        filters object and are stripped by *its* ``__getstate__``.
-        """
+        """Pickle the compiled artifacts only; a shard rebuilds the kernel
+        plan from the shipped blocks in its own process."""
         state = dict(self.__dict__)
-        if HAVE_NUMPY and self.indexer is not None:
-            num_bits = len(self.indexer)
-            for name in self._WORD_FIELDS:
-                masks = state.get(name)
-                if isinstance(masks, dict):
-                    state[name] = WordTable.from_masks(masks, num_bits)
+        state["_kernel_plan"] = None
         return state
-
-    def __setstate__(self, state) -> None:
-        for name in self._WORD_FIELDS:
-            value = state.get(name)
-            if isinstance(value, WordTable):
-                state[name] = value.to_masks()
-        self.__dict__.update(state)
 
 
 class EmbeddingPlan:
@@ -304,11 +294,9 @@ class EmbeddingPlan:
 
     def describe(self) -> Dict[str, Any]:
         """A JSON-friendly summary of the plan (used by ``repro plan``)."""
-        from repro.core import kernel
-
         filters = self.prepared.filters
         return {
-            "kernel": kernel.active_backend(),
+            "kernel": active_backend(),
             "algorithm": self.algorithm.name,
             "query": self.request.query.name,
             "hosting": self.request.hosting.name,

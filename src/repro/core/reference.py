@@ -1,14 +1,20 @@
-"""The pre-bitset, set-semantics candidate engine, preserved verbatim.
+"""The set-semantics reference engine: the oracle for both tree searches.
 
-This module is the frozen "before" of the bitset refactor: dict-of-set filter
-matrices built and queried exactly the way the original implementation did,
-plus a recursive ECF on top of them.  It exists for two reasons:
+Dict-of-set filter matrices built and queried exactly the way the original
+(pre-bitset) implementation did, with the paper's two searches written as
+plain recursion on top of them: :class:`ReferenceECF` (Fig. 4) and
+:class:`ReferenceRWB` (Fig. 5).  Nothing here shares a line with the engine
+it judges — its own filter build, Python sets instead of packed words, one
+interpreter frame per query node instead of an explicit stack — which is
+what makes agreement meaningful:
 
-* **Parity.**  ``tests/test_core_bitset_parity.py`` asserts that the bitmask
-  engine produces identical cells, candidate sets, entry counts and mapping
-  streams on randomised workloads, with this module as the oracle.
+* **Parity.**  ``tests/test_core_bitset_parity.py`` compares the filter
+  cells, candidate sets and entry counts; ``tests/test_kernel_parity.py``
+  and its siblings require the search kernel (:mod:`repro.core.kernel`) to
+  reproduce this module's mapping streams, dict key order and every search
+  counter, serial and sharded.
 * **Trajectory.**  ``benchmarks/bench_perf_core.py`` times this engine
-  against the bitset engine on the same workload and records both numbers in
+  against the active kernel on the same workload and records both numbers in
   ``BENCH_core.json``, so every future perf PR can see where it started.
 
 It is intentionally *not* registered with the algorithm registry: nothing in
@@ -17,15 +23,20 @@ the production path should ever pick it up.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.constraints import ConstraintExpression
 from repro.core.base import EmbeddingAlgorithm, SearchContext
 from repro.core.filters import FilterKey, compute_node_candidates
+from repro.core.ordering import ORDERINGS
+from repro.core.rwb import subtree_seed
 from repro.graphs.hosting import HostingNetwork
 from repro.graphs.network import Edge, NodeId
 from repro.graphs.query import QueryNetwork
+from repro.utils.rng import RandomSource, as_rng
 from repro.utils.timing import Stopwatch
 
 _EMPTY_SET: Set[NodeId] = set()
@@ -171,19 +182,11 @@ def build_filters_reference(query: QueryNetwork, hosting: HostingNetwork,
     return filters
 
 
-class ReferenceECF(EmbeddingAlgorithm):
-    """The original recursive ECF over :class:`ReferenceFilterMatrices`.
+class _ReferenceSearch(EmbeddingAlgorithm):
+    """Stage 1 and the recursive descent the two reference searches share;
+    a subclass supplies the root expansion and each node's trial order."""
 
-    Same ordering heuristics, same candidate algebra, same
-    ``sorted(candidates, key=str)`` trial order — so its mapping stream is
-    the ground truth the bitset ECF must reproduce byte for byte.
-    """
-
-    name = "ECF-reference"
-
-    def __init__(self, ordering: str = "connectivity",
-                 record_non_matches: bool = True) -> None:
-        from repro.core.ordering import ORDERINGS
+    def __init__(self, ordering: str, record_non_matches: bool) -> None:
         if ordering not in ORDERINGS:
             raise ValueError(
                 f"unknown ordering {ordering!r}; expected one of {sorted(ORDERINGS)}")
@@ -205,13 +208,19 @@ class ReferenceECF(EmbeddingAlgorithm):
             return True
 
         order = self._ordering(context.query, filters)
-        assignment: Dict[NodeId, NodeId] = {}
-        used: Set[NodeId] = set()
-        return self._descend(context, filters, order, 0, assignment, used)
+        return self._search(context, filters, order)
+
+    def _search(self, context: SearchContext, filters: ReferenceFilterMatrices,
+                order: List[NodeId]) -> bool:
+        raise NotImplementedError
 
     def _descend(self, context: SearchContext, filters: ReferenceFilterMatrices,
                  order: List[NodeId], depth: int,
-                 assignment: Dict[NodeId, NodeId], used: Set[NodeId]) -> bool:
+                 assignment: Dict[NodeId, NodeId], used: Set[NodeId],
+                 arrange: Callable[[Set[NodeId]], List[NodeId]]) -> bool:
+        """Place ``order[depth:]`` below *assignment*, trying each node's
+        candidates in ``arrange(candidates)`` order.  ``False`` iff the
+        result cap stopped the search."""
         context.check_deadline()
 
         if depth == len(order):
@@ -231,13 +240,84 @@ class ReferenceECF(EmbeddingAlgorithm):
             context.stats.backtracks += 1
             return True
 
-        for host in sorted(candidates, key=str):
+        for host in arrange(candidates):
             assignment[node] = host
             used.add(host)
             keep_going = self._descend(context, filters, order, depth + 1,
-                                       assignment, used)
+                                       assignment, used, arrange)
             del assignment[node]
             used.discard(host)
             if not keep_going:
+                return False
+        return True
+
+
+def _canonical(candidates: Set[NodeId]) -> List[NodeId]:
+    return sorted(candidates, key=str)
+
+
+def _shuffled(rng: random.Random, candidates: Set[NodeId]) -> List[NodeId]:
+    hosts = _canonical(candidates)
+    rng.shuffle(hosts)
+    return hosts
+
+
+class ReferenceECF(_ReferenceSearch):
+    """The original recursive ECF over :class:`ReferenceFilterMatrices`.
+
+    Same ordering heuristics, same candidate algebra, same
+    ``sorted(candidates, key=str)`` trial order — so its mapping stream is
+    the ground truth the kernel's ECF must reproduce byte for byte.
+    """
+
+    name = "ECF-reference"
+
+    def __init__(self, ordering: str = "connectivity",
+                 record_non_matches: bool = True) -> None:
+        super().__init__(ordering, record_non_matches)
+
+    def _search(self, context, filters, order) -> bool:
+        return self._descend(context, filters, order, 0, {}, set(), _canonical)
+
+
+class ReferenceRWB(_ReferenceSearch):
+    """Fig. 5's recursive random walk over :class:`ReferenceFilterMatrices`.
+
+    Spends the random stream exactly as :class:`~repro.core.rwb.RWB`
+    documents it: the run's source shuffles the first query node's
+    (canonically sorted) candidates and draws one 64-bit base seed; root
+    candidate *i*'s subtree is then walked with its own ``random.Random``
+    seeded from ``(base, i)``, one shuffle of the sorted candidates per
+    expanded node.  A seeded run is therefore the ground truth for seeded
+    RWB, serial or sharded.
+    """
+
+    name = "RWB-reference"
+
+    def __init__(self, rng: RandomSource = None,
+                 ordering: str = "connectivity") -> None:
+        # Like the real RWB, stage 1 never populates the never-read ``F̄``.
+        super().__init__(ordering, record_non_matches=False)
+        self._rng_source = rng
+
+    def _effective_max_results(self, requested: Optional[int]) -> Optional[int]:
+        return 1 if requested is None else requested
+
+    def _search(self, context, filters, order) -> bool:
+        rng = context.rng if context.rng is not None else as_rng(self._rng_source)
+        context.check_deadline()
+        root = order[0]
+        roots = _shuffled(rng, filters.candidates_unplaced(root))
+        base = rng.getrandbits(64)
+        context.stats.nodes_expanded += 1
+        context.stats.candidates_considered += len(roots)
+        if not roots:
+            context.stats.backtracks += 1
+            return True
+
+        for index, host in enumerate(roots):
+            arrange = partial(_shuffled, random.Random(subtree_seed(base, index)))
+            if not self._descend(context, filters, order, 1, {root: host},
+                                 {host}, arrange):
                 return False
         return True

@@ -2,7 +2,9 @@
 
 RWB is the non-deterministic sibling of ECF for applications that only need
 *one* feasible embedding (or a small random sample of them).  It uses exactly
-the same filter matrices and candidate-set expressions as ECF, but:
+the same filter matrices and candidate-set expressions as ECF — the
+:class:`~repro.core.kernel.KernelPlan` the prepared search owns, read through
+a :class:`~repro.core.kernel.RwbCursor` — but:
 
 * query nodes' candidates are tried in uniformly random order instead of a
   deterministic order, so repeated runs explore different regions of the
@@ -29,13 +31,13 @@ for any shard count — and seeded runs reproduce across process boundaries.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.api.registry import Capability, register_algorithm
 from repro.api.request import SearchRequest
 from repro.core import kernel
 from repro.core.base import EmbeddingAlgorithm, SearchContext
-from repro.core.filters import FilterMatrices, build_filters
+from repro.core.filters import build_filters
 from repro.core.ordering import ORDERINGS
 from repro.core.plan import PreparedSearch
 from repro.graphs.network import NodeId
@@ -47,7 +49,7 @@ _GOLDEN64 = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
 
-def _subtree_seed(base: int, root_index: int) -> int:
+def subtree_seed(base: int, root_index: int) -> int:
     """The derived seed of root candidate *root_index*'s subtree walk."""
     return (base + _GOLDEN64 * (root_index + 1)) & _MASK64
 
@@ -146,12 +148,11 @@ class RWB(EmbeddingAlgorithm):
         random candidate order.
         """
         rng = context.rng if context.rng is not None else as_rng(self._rng_source)
-        node = prepared.order[0]
-        mask = prepared.filters.candidates_mask_unplaced(node)
+        plan = prepared.kernel_plan()
         # Decoding yields ascending bit order == the canonical str-sorted
-        # order, so the seeded shuffle below sees the same input it did under
-        # the set engine and reproduces across processes.
-        candidates = prepared.filters.host_indexer.decode(mask)
+        # order, so the seeded shuffle below sees the same input the
+        # set-semantics reference does and reproduces across processes.
+        candidates = plan.indexer.decode(kernel.candidates_mask(plan, 0, (), 0))
         rng.shuffle(candidates)
         return candidates, rng.getrandbits(64)
 
@@ -188,43 +189,28 @@ class RWB(EmbeddingAlgorithm):
                    spec: Tuple[int, List[NodeId], int]) -> bool:
         """Walk one slice of the root order, one derived rng per subtree."""
         start, hosts, base = spec
-        filters = prepared.filters
-        order = prepared.order
-        node = order[0]
-        plan = kernel.plan_for(filters, order, prepared.prior)
-        if plan is not None:
-            index_of = filters.host_indexer.index_of
-            for offset, host in enumerate(hosts):
-                rng = random.Random(_subtree_seed(base, start + offset))
-                keep_going = self._walk_kernel(context, plan, node, host,
-                                               index_of(host), rng)
-                if not keep_going:
-                    return False
-            return True
-        bit_of = filters.host_indexer.bit
-        assignment: Dict[NodeId, NodeId] = {}
+        plan = prepared.kernel_plan()
+        index_of = plan.indexer.index_of
         for offset, host in enumerate(hosts):
-            rng = random.Random(_subtree_seed(base, start + offset))
-            assignment[node] = host
-            keep_going = self._walk(context, filters, order, prepared.prior,
-                                    1, assignment, bit_of(host), rng)
-            del assignment[node]
-            if not keep_going:
+            rng = random.Random(subtree_seed(base, start + offset))
+            if not self._walk_subtree(context, plan, index_of(host), rng):
                 return False
         return True
 
-    def _walk_kernel(self, context: SearchContext, plan, root_node: NodeId,
-                     root_host: NodeId, root_index: int, rng) -> bool:
-        """Iterative twin of :meth:`_walk` over the kernel's candidate
-        cursor.  Returns ``False`` iff stopped early (result cap).
+    def _walk_subtree(self, context: SearchContext, plan, root_index: int,
+                      rng) -> bool:
+        """Fig. 5's randomised depth-first walk below one root candidate, as
+        an explicit-stack loop over the kernel's candidate cursor.  Returns
+        ``False`` iff stopped early (result cap).
 
-        The control flow — deadline poll on every node entry (leaves
-        included), expansion/backtrack counting, one ``rng.shuffle`` per
-        non-leaf — replays the recursion exactly; shuffling the *index*
-        list yields the same permutation the legacy walk applies to the
-        decoded node list, because ``random.shuffle`` depends only on the
-        sequence length and the rng state, and ascending index order *is*
-        the decode order.
+        Per node entry (leaves included): one deadline poll; per non-leaf:
+        the expansion counted before the emptiness test, a backtrack per
+        empty candidate set, and exactly one ``rng.shuffle`` — of the
+        ascending host-*index* list, which permutes like the reference
+        walk's ``sorted(key=str)`` node list because ``random.shuffle``
+        depends only on the sequence length and the rng state.  Candidates
+        that fail are implicitly "discarded" by advancing past them, which
+        is the paper's per-node discarded list.
         """
         order = plan.order
         host_nodes = plan.host_nodes
@@ -235,15 +221,15 @@ class RWB(EmbeddingAlgorithm):
         candidate_lists: List[Optional[List[int]]] = [None] * n
         next_pos = [0] * n
         placed = [-1] * n
+        placed[0] = root_index
         depth = 1
         entering = True
         while True:
             if entering:
                 context.check_deadline()
                 if depth == n:
-                    mapping: Dict[NodeId, NodeId] = {root_node: root_host}
-                    for d in range(1, n):
-                        mapping[order[d]] = host_nodes[placed[d]]
+                    mapping: Dict[NodeId, NodeId] = {
+                        order[d]: host_nodes[placed[d]] for d in range(n)}
                     if context.record_mapping(mapping):
                         return False
                     depth -= 1
@@ -278,41 +264,3 @@ class RWB(EmbeddingAlgorithm):
             placed[depth] = host_index
             depth += 1
             entering = True
-
-    def _walk(self, context: SearchContext, filters: FilterMatrices,
-              order: List[NodeId], prior: Sequence[Tuple[NodeId, ...]],
-              depth: int, assignment: Dict[NodeId, NodeId],
-              used_mask: int, rng) -> bool:
-        """Randomised depth-first walk.  Returns ``False`` iff stopped early."""
-        context.check_deadline()
-
-        if depth == len(order):
-            stop = context.record_mapping(dict(assignment))
-            return not stop
-
-        node = order[depth]
-        placed_neighbors = [(neighbor, assignment[neighbor])
-                            for neighbor in prior[depth]]
-        mask = filters.candidates_mask_given(node, placed_neighbors, used_mask)
-        candidates = filters.host_indexer.decode(mask)
-
-        context.stats.nodes_expanded += 1
-        context.stats.candidates_considered += len(candidates)
-
-        if not candidates:
-            context.stats.backtracks += 1
-            return True
-
-        # The random walk: candidates are tried in random order; failed ones
-        # are implicitly "discarded" by the loop, which is equivalent to the
-        # paper's per-node discarded list.
-        rng.shuffle(candidates)
-        bit_of = filters.host_indexer.bit
-        for host in candidates:
-            assignment[node] = host
-            keep_going = self._walk(context, filters, order, prior, depth + 1,
-                                    assignment, used_mask | bit_of(host), rng)
-            del assignment[node]
-            if not keep_going:
-                return False
-        return True

@@ -14,14 +14,12 @@ demand, and nothing keeps the two in step because only one is ever stored.
 
 This module holds the conversions between the two forms, all loss-free and
 exact on round trip (including masks of zero and masks whose top bit sits
-on a word boundary), and :class:`WordTable`, the keyed family of word rows
-that carries LNS's small per-node mask dicts across process boundaries and
-backs the :class:`~repro.core.filters.FilterWords` diagnostic views.
+on a word boundary).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.constraints.vectorizer import HAVE_NUMPY, np
 
@@ -34,7 +32,6 @@ __all__ = [
     "words_to_mask",
     "pack_masks",
     "unpack_masks",
-    "WordTable",
 ]
 
 _WORD_BYTES = WORD_BITS // 8
@@ -86,67 +83,3 @@ def unpack_masks(words) -> List[int]:
     raw = arr.tobytes()
     return [int.from_bytes(raw[i * width:(i + 1) * width], "little")
             for i in range(arr.shape[0])]
-
-
-class WordTable:
-    """A keyed family of masks backed by one contiguous word array.
-
-    This is the word-array twin of a ``{key: int_mask}`` dict: ``keys[r]``
-    owns row ``r`` of ``words``.  Zero-valued masks keep their key — an
-    empty candidate set is real information (an infeasible node), not an
-    absent entry — so ``to_masks()`` round-trips the source dict exactly,
-    including insertion order.
-    """
-
-    __slots__ = ("keys", "rows", "words", "num_bits")
-
-    def __init__(self, keys: Tuple, words, num_bits: int) -> None:
-        self.keys = tuple(keys)
-        self.words = words
-        self.num_bits = int(num_bits)
-        self.rows: Dict[object, int] = {k: r for r, k in enumerate(self.keys)}
-
-    @classmethod
-    def from_masks(cls, masks: Dict[object, int], num_bits: int) -> "WordTable":
-        nw = word_count(num_bits)
-        return cls(tuple(masks.keys()),
-                   pack_masks(list(masks.values()), nw), num_bits)
-
-    @property
-    def num_words(self) -> int:
-        return int(self.words.shape[1])
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def row_of(self, key) -> int:
-        """Row index of *key*, or -1 when absent (kernel sentinel for an
-        empty/deleted cell)."""
-        return self.rows.get(key, -1)
-
-    def mask_of(self, key) -> int:
-        row = self.rows.get(key)
-        return 0 if row is None else words_to_mask(self.words[row])
-
-    def to_masks(self) -> Dict[object, int]:
-        """Rebuild the ``{key: int_mask}`` dict, order and zeros preserved."""
-        ints = unpack_masks(self.words)
-        return {key: ints[r] for r, key in enumerate(self.keys)}
-
-    # ------------------------------------------------------------------ #
-    # Pickling: ship a private copy, never a view of the parent buffer
-    # ------------------------------------------------------------------ #
-
-    def __getstate__(self):
-        # np.ascontiguousarray + copy guarantees the pickled payload owns
-        # its memory even if self.words is a view into a larger buffer; the
-        # rows dict is derivable and stays out of the payload.
-        return (self.keys, np.ascontiguousarray(self.words).copy(),
-                self.num_bits)
-
-    def __setstate__(self, state):
-        keys, words, num_bits = state
-        self.keys = tuple(keys)
-        self.words = words
-        self.num_bits = int(num_bits)
-        self.rows = {k: r for r, k in enumerate(self.keys)}

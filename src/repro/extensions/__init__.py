@@ -7,14 +7,12 @@
   hosting paths (many-to-one mapping);
 * :mod:`~repro.extensions.scheduler` — integrate embedding with time-slotted
   scheduling (the snBench scenario);
-* :mod:`~repro.extensions.distributed` — hierarchical, per-domain embedding
-  with a global fallback (the decentralised deployment sketch).
+* :mod:`~repro.extensions.distributed` — carve a hosting network into the
+  per-domain partitions :mod:`repro.cluster` embeds over (the decentralised
+  deployment sketch).
 """
 
 from repro.extensions.distributed import (
-    DomainOutcome,
-    HierarchicalEmbedder,
-    HierarchicalResult,
     partition_balanced,
     partition_by_attribute,
 )
@@ -56,9 +54,6 @@ __all__ = [
     "EmbeddingCalendar",
     "ScheduleResult",
     "ScheduledEmbedding",
-    "HierarchicalEmbedder",
-    "HierarchicalResult",
-    "DomainOutcome",
     "partition_by_attribute",
     "partition_balanced",
 ]

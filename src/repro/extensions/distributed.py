@@ -1,44 +1,23 @@
-"""Hierarchical / partitioned embedding (§VIII "decentralized implementation").
+"""Partitioning helpers for per-domain embedding (§VIII "decentralized
+implementation").
 
-.. deprecated::
-    This module predates :mod:`repro.cluster`, which is the real scale-out
-    tier: sharded replicas, a contracted quotient graph for coarse placement,
-    journal-delta replication, and cross-partition split-and-stitch search.
-    :class:`HierarchicalEmbedder` is kept as a thin compatibility shim — its
-    per-domain searches now run through a :class:`repro.cluster.ClusterCoordinator`
-    (so they share the plan cache and partition summaries) and constructing
-    one emits a :class:`DeprecationWarning`.  New code should use
-    :class:`repro.cluster.ClusterCoordinator` or
-    :class:`repro.cluster.ClusterService` directly.
-
-The legacy semantics are preserved exactly: domains are tried largest-first
-(or in the caller's ``domain_order``), the first domain that can host the
-whole query wins, and queries that genuinely must span domains use the
-global-view fallback (reported as ``winning_domain == "*global*"``).
+The scale-out tier itself is :mod:`repro.cluster` — sharded replicas, a
+contracted quotient graph for coarse placement, journal-delta replication
+and cross-partition split-and-stitch search.  What lives here are the two
+ways of carving a hosting network into the ``{domain: nodes}`` mapping a
+:class:`repro.cluster.ClusterCoordinator` accepts as its ``partition_map``.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Union
+from typing import Dict, Hashable, List
 
-from repro.api.request import SearchRequest
-from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.partition import UNASSIGNED, PartitionMap
-from repro.constraints import ConstraintExpression
-from repro.core.base import EmbeddingAlgorithm
-from repro.core.ecf import ECF
-from repro.core.result import EmbeddingResult
 from repro.graphs.hosting import HostingNetwork
 from repro.graphs.network import NodeId
-from repro.graphs.query import QueryNetwork
 
 __all__ = [
     "UNASSIGNED",
-    "DomainOutcome",
-    "HierarchicalResult",
-    "HierarchicalEmbedder",
     "partition_by_attribute",
     "partition_balanced",
 ]
@@ -67,120 +46,7 @@ def partition_balanced(hosting: HostingNetwork, num_domains: int
     """Split the hosting network into *num_domains* roughly equal connected chunks.
 
     Delegates to :meth:`repro.cluster.PartitionMap.balanced` (BFS-contiguous
-    chunks); kept for the legacy ``domain<i>`` naming.
+    chunks), naming the chunks ``domain<i>``.
     """
     pmap = PartitionMap.balanced(hosting, num_domains, prefix="domain")
     return {name: list(nodes) for name, nodes in pmap.partitions.items()}
-
-
-@dataclass
-class DomainOutcome:
-    """Result of trying one domain."""
-
-    domain: Hashable
-    result: EmbeddingResult
-
-    @property
-    def found(self) -> bool:
-        """Whether this domain could host the query."""
-        return self.result.found
-
-
-@dataclass
-class HierarchicalResult:
-    """Outcome of a hierarchical embedding attempt."""
-
-    winning_domain: Optional[Hashable]
-    result: Optional[EmbeddingResult]
-    domain_outcomes: List[DomainOutcome] = field(default_factory=list)
-    used_global_fallback: bool = False
-
-    @property
-    def found(self) -> bool:
-        """Whether any domain (or the global fallback) hosted the query."""
-        return self.result is not None and self.result.found
-
-
-class HierarchicalEmbedder:
-    """Deprecated first-fit coordinator, now a shim over :mod:`repro.cluster`.
-
-    Parameters
-    ----------
-    hosting:
-        The full hosting network (the coordinator's global view).
-    domains:
-        Mapping of domain name to its hosting nodes; build it with
-        :func:`partition_by_attribute` or :func:`partition_balanced`.
-    algorithm:
-        Algorithm used for every per-domain (and fallback) search.
-    """
-
-    def __init__(self, hosting: HostingNetwork,
-                 domains: Dict[Hashable, Sequence[NodeId]],
-                 algorithm: Optional[EmbeddingAlgorithm] = None) -> None:
-        warnings.warn(
-            "HierarchicalEmbedder is deprecated; use "
-            "repro.cluster.ClusterCoordinator (or ClusterService) for "
-            "partitioned embedding", DeprecationWarning, stacklevel=2)
-        if not domains:
-            raise ValueError("at least one domain is required")
-        self.hosting = hosting
-        self._algorithm = algorithm or ECF()
-        self._domains = {name: list(nodes) for name, nodes in domains.items()}
-        # Partition names must be strings for the cluster tier; remember the
-        # original (possibly sentinel) keys so results report them verbatim.
-        self._key_of: Dict[str, Hashable] = {}
-        parts: Dict[str, tuple] = {}
-        for name, nodes in self._domains.items():
-            pname = str(name)
-            self._key_of[pname] = name
-            parts[pname] = tuple(nodes)
-        self._coordinator = ClusterCoordinator(
-            hosting, partition_map=PartitionMap(parts),
-            algorithm=self._algorithm)
-
-    @property
-    def domain_names(self) -> List[Hashable]:
-        """All domain names, largest domain first (the default try order)."""
-        return sorted(self._domains,
-                      key=lambda d: (-len(self._domains[d]), str(d)))
-
-    def domain_network(self, name: Hashable) -> HostingNetwork:
-        """The induced hosting sub-network of a domain."""
-        return self._coordinator.workers[str(name)].replica.network
-
-    def embed(self, query: QueryNetwork,
-              constraint: Optional[Union[str, ConstraintExpression]] = None,
-              node_constraint: Optional[Union[str, ConstraintExpression]] = None,
-              timeout: Optional[float] = None, max_results: Optional[int] = 1,
-              domain_order: Optional[Sequence[Hashable]] = None,
-              allow_global_fallback: bool = True) -> HierarchicalResult:
-        """Try to embed *query* inside a single domain; optionally fall back globally."""
-        outcomes: List[DomainOutcome] = []
-        order = list(domain_order) if domain_order is not None else self.domain_names
-        for name in order:
-            pname = str(name)
-            if pname not in self._coordinator.workers or name not in self._domains:
-                raise KeyError(f"unknown domain {name!r}")
-            if len(self._domains[name]) < query.num_nodes:
-                continue
-            cluster_result = self._coordinator.embed(
-                query, constraint=constraint, node_constraint=node_constraint,
-                timeout=timeout, max_results=max_results,
-                partition_order=[pname], cross_partition=False)
-            result = cluster_result.to_embedding_result(
-                algorithm=self._algorithm.name)
-            outcomes.append(DomainOutcome(domain=name, result=result))
-            if result.found:
-                return HierarchicalResult(winning_domain=name, result=result,
-                                          domain_outcomes=outcomes)
-        if allow_global_fallback:
-            result = self._algorithm.request(SearchRequest.build(
-                query, self.hosting, constraint=constraint,
-                node_constraint=node_constraint, timeout=timeout,
-                max_results=max_results))
-            return HierarchicalResult(winning_domain=None if not result.found else "*global*",
-                                      result=result, domain_outcomes=outcomes,
-                                      used_global_fallback=True)
-        return HierarchicalResult(winning_domain=None, result=None,
-                                  domain_outcomes=outcomes)

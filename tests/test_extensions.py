@@ -1,5 +1,5 @@
 """Tests for the §VIII extensions: optimisation, path mapping, scheduling,
-hierarchical embedding."""
+domain partitioning."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.core import ECF, LNS, Mapping
 from repro.extensions import (
     EmbeddingCalendar,
     EmbeddingScheduler,
-    HierarchicalEmbedder,
     PathEmbedder,
     best_mapping,
     build_closure_network,
@@ -21,7 +20,6 @@ from repro.extensions import (
     total_delay_cost,
 )
 from repro.graphs import QueryNetwork
-from repro.workloads import planetlab_host
 
 
 # --------------------------------------------------------------------------- #
@@ -193,7 +191,7 @@ class TestScheduler:
 
 
 # --------------------------------------------------------------------------- #
-# Hierarchical embedding
+# Partitioning helpers
 # --------------------------------------------------------------------------- #
 
 class TestHierarchical:
@@ -206,66 +204,3 @@ class TestHierarchical:
         domains = partition_balanced(small_hosting, 3)
         all_nodes = [node for nodes in domains.values() for node in nodes]
         assert sorted(all_nodes) == sorted(small_hosting.nodes())
-
-    def test_embeds_within_a_single_domain_when_possible(self):
-        hosting = planetlab_host(40, rng=31)
-        domains = partition_by_attribute(hosting, "region")
-        embedder = HierarchicalEmbedder(hosting, domains, algorithm=LNS())
-        # A tiny query with generous windows fits inside one region.
-        query = QueryNetwork("tiny")
-        query.add_node("x")
-        query.add_node("y")
-        query.add_edge("x", "y", minDelay=0.1, maxDelay=500.0)
-        result = embedder.embed(query,
-                                constraint="rEdge.avgDelay >= vEdge.minDelay && "
-                                           "rEdge.avgDelay <= vEdge.maxDelay")
-        assert result.found
-        assert result.winning_domain in domains
-        assert not result.used_global_fallback
-        # Both chosen hosts must indeed live in the winning domain.
-        for host in result.result.first.hosting_nodes():
-            assert host in domains[result.winning_domain]
-
-    def test_falls_back_to_global_view_for_cross_domain_queries(self, small_hosting,
-                                                                window_constraint):
-        domains = partition_by_attribute(small_hosting, "region")
-        embedder = HierarchicalEmbedder(small_hosting, domains, algorithm=ECF())
-        # The path query with these exact windows needs hosts from both regions
-        # in most embeddings; with only 3 nodes per region the per-domain search
-        # may or may not succeed — but with the fallback the query must succeed.
-        query = QueryNetwork("wide")
-        for node in ("x", "y", "z", "w"):
-            query.add_node(node)
-        query.add_edge("x", "y", minDelay=5.0, maxDelay=60.0)
-        query.add_edge("y", "z", minDelay=5.0, maxDelay=60.0)
-        query.add_edge("z", "w", minDelay=5.0, maxDelay=60.0)
-        result = embedder.embed(query, constraint=window_constraint)
-        assert result.found
-
-    def test_no_fallback_reports_failure(self, small_hosting, window_constraint):
-        domains = partition_by_attribute(small_hosting, "region")
-        embedder = HierarchicalEmbedder(small_hosting, domains, algorithm=ECF())
-        query = QueryNetwork("wide")
-        for node in ("x", "y", "z", "w"):
-            query.add_node(node)
-        query.add_edge("x", "y", minDelay=35.0, maxDelay=55.0)
-        query.add_edge("y", "z", minDelay=35.0, maxDelay=55.0)
-        query.add_edge("z", "w", minDelay=35.0, maxDelay=55.0)
-        result = embedder.embed(query, constraint=window_constraint,
-                                allow_global_fallback=False)
-        # Each region has only 3 nodes and few 35-55ms internal links, so the
-        # per-domain searches fail and, without fallback, so does the request.
-        assert not result.found
-        assert result.winning_domain is None
-
-    def test_requires_at_least_one_domain(self, small_hosting):
-        with pytest.raises(ValueError):
-            HierarchicalEmbedder(small_hosting, {})
-
-    def test_unknown_domain_in_order_raises(self, small_hosting):
-        domains = partition_by_attribute(small_hosting, "region")
-        embedder = HierarchicalEmbedder(small_hosting, domains)
-        query = QueryNetwork("q")
-        query.add_node("x")
-        with pytest.raises(KeyError):
-            embedder.embed(query, domain_order=["mars"])

@@ -14,7 +14,7 @@ suite pins the properties that make a single store safe:
 * blocks are row-compressed (a sparse host above the dense-cell guard stays
   within its byte bound);
 * a shard payload ships blocks and nothing derived from them;
-* a kernel plan does not keep its filters alive.
+* a kernel plan does not keep its owner or its filters alive.
 """
 
 from __future__ import annotations
@@ -44,7 +44,11 @@ from repro.core import filters as filters_module
 from repro.core.base import placed_neighbor_plan
 from repro.core.indexing import word_count
 from repro.core.parallel import ShardGroup, _GROUP_CACHE, _decode_group
-from repro.core.reference import build_filters_reference
+from repro.core.reference import (
+    ReferenceECF,
+    ReferenceRWB,
+    build_filters_reference,
+)
 from repro.core.words import mask_to_words
 from repro.graphs.hosting import HostingNetwork
 from repro.graphs.query import QueryNetwork
@@ -302,8 +306,7 @@ class TestKernelWordArrays:
         order = sorted(query.nodes(), key=str)
         prior = placed_neighbor_plan(query, order)
         assert any(prior)
-        with kernel.forced("python"):
-            plan = kernel.plan_for(filters, order, prior)
+        plan = kernel.KernelPlan(filters, order, prior)
         match_words, node_words, prior_off, slot_depth, slot_rows, nw = \
             plan.words()
         assert nw == word_count(len(hosting.nodes()))
@@ -337,9 +340,11 @@ class TestKernelWordArrays:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_word_kernels_reproduce_the_legacy_streams(self, seed, monkeypatch):
-        """Drive the word-array search path end to end.  Without numba the
-        kernel sources run uncompiled (same code, interpreted), which is
-        enough to pin what ``KernelPlan.words()`` feeds them."""
+        """Drive the word-array search path end to end against the original
+        engine (the recursive set-semantics searches of
+        ``core/reference.py``).  Without numba the kernel sources run
+        uncompiled (same code, interpreted), which is enough to pin what
+        ``KernelPlan.words()`` feeds them."""
         def signature(result):
             return ([list(m.as_dict().items()) for m in result.mappings],
                     result.stats.nodes_expanded,
@@ -349,9 +354,10 @@ class TestKernelWordArrays:
         query, hosting = random_workload(seed, directed=bool(seed % 2))
         request = SearchRequest.build(query, hosting, constraint=WINDOW,
                                       max_results=50)
-        for make in (ECF, lambda: RWB(seed=7)):
-            with kernel.forced("legacy"):
-                legacy = make().request(request)
+        for make, make_reference in ((ECF, ReferenceECF),
+                                     (lambda: RWB(seed=7),
+                                      lambda: ReferenceRWB(rng=7))):
+            legacy = make_reference().request(request)
             with monkeypatch.context() as patch, warnings.catch_warnings():
                 # uint64 popcount multiplies wrap by design.
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -422,7 +428,7 @@ class TestShardPayload:
         request = SearchRequest.build(query, hosting, constraint=WINDOW,
                                       node_constraint=UP, max_results=3)
         built = ECF().prepare(request)
-        built.execute()         # caches a kernel plan on the snapshot
+        built.execute()         # builds the prepared search's kernel plan
         attr_churn(hosting, random.Random(21), 6)
         patched = built.refresh()
         assert patched.refresh_mode == "patched"
@@ -430,13 +436,14 @@ class TestShardPayload:
 
         for plan in (built, patched):
             filters = plan.prepared.filters
-            assert getattr(filters, "_kernel_plan", None) is not None
-            state = filters.__getstate__()
+            assert plan.prepared._kernel_plan is not None
+            state = vars(filters)
             assert "blocks" in state and "_kernel_plan" not in state
             assert not any("mask" in name and "node" not in name
                            for name in state)    # no dict-of-int cell view
-            clone = ship(plan.prepared).filters
-            assert getattr(clone, "_kernel_plan", None) is None
+            shipped = ship(plan.prepared)
+            assert shipped._kernel_plan is None
+            clone = shipped.filters
             assert_blocks_equal(clone, filters)
             for key, block in clone.blocks.items():
                 assert not np.shares_memory(block.words,
@@ -449,7 +456,7 @@ class TestShardPayload:
 
 
 # --------------------------------------------------------------------------- #
-# A kernel plan does not keep its filters alive
+# A kernel plan does not keep its owner or its filters alive
 # --------------------------------------------------------------------------- #
 
 class TestPlanLifetime:
@@ -463,11 +470,11 @@ class TestPlanLifetime:
             with kernel.forced("python"):
                 plan = ECF().prepare(request)
                 plan.execute()
-            filters = plan.prepared.filters
-            assert getattr(filters, "_kernel_plan", None) is not None
-            alive = weakref.ref(filters)
-            del plan, filters
-            assert alive() is None
+            prepared = plan.prepared
+            assert prepared._kernel_plan is not None
+            alive = [weakref.ref(prepared), weakref.ref(prepared.filters)]
+            del plan, prepared
+            assert [ref() for ref in alive] == [None, None]
         finally:
             gc.enable()
 

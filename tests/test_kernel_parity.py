@@ -1,11 +1,10 @@
-"""Kernel backend parity: compiled search loops vs. the reference engine.
+"""Kernel parity: the search kernel vs. the reference engine.
 
-The compiled ECF/RWB kernels (``repro.core.kernel``) must be
-*byte-identical* to the legacy explicit-stack/recursive loops: same mapping
-streams in the same dict-key order, same ``SearchStats`` counters, under
-result caps, chunk pauses, pickling and sharded execution.  The legacy
-engine — reachable via ``REPRO_KERNEL=legacy`` — is the oracle here, just
-as the set-semantics reference is the oracle for the bitset engine.
+The ECF/RWB kernel (``repro.core.kernel``) must be *byte-identical* to the
+set-semantics reference engine (``repro.core.reference``, recursive searches
+over its own filter build): same mapping streams in the same dict-key order,
+same ``SearchStats`` counters, under result caps, chunk pauses, pickling and
+sharded execution.
 """
 
 from __future__ import annotations
@@ -22,11 +21,16 @@ from repro.api.request import Budget
 from repro.constraints import ConstraintExpression
 from repro.core import ECF, RWB
 from repro.core import kernel
+from repro.core.reference import ReferenceECF, ReferenceRWB
 from repro.graphs.hosting import HostingNetwork
 from repro.graphs.query import QueryNetwork
 
 WINDOW = ConstraintExpression(
     "rEdge.avgDelay >= vEdge.minDelay && rEdge.avgDelay <= vEdge.maxDelay")
+#: What a successful numba load leaves in ``kernel._NUMBA`` (numba is not
+#: installable here, so the sources stand in for their compiled forms).
+UNCOMPILED_KERNELS = {"ecf": kernel._nb_ecf_chunk,
+                      "rwb": kernel._nb_rwb_candidates}
 
 
 def random_workload(seed: int, min_hosts: int = 6, max_hosts: int = 14):
@@ -69,12 +73,16 @@ def observables(result):
     )
 
 
-def run(name: str, query, hosting, backend: str, seed: int = 0,
-        cap=None, parallelism=None):
+def build_request(name: str, query, hosting, cap=None):
     budget = Budget(max_results=cap) if cap else (
         Budget(max_results=10 ** 6) if name == "RWB" else Budget())
-    request = SearchRequest.build(query, hosting, constraint=WINDOW,
-                                  budget=budget)
+    return SearchRequest.build(query, hosting, constraint=WINDOW,
+                               budget=budget)
+
+
+def run(name: str, query, hosting, backend: str, seed: int = 0,
+        cap=None, parallelism=None):
+    request = build_request(name, query, hosting, cap)
     algo = RWB() if name == "RWB" else ECF()
     rng = seed if name == "RWB" else None
     with kernel.forced(backend):
@@ -82,6 +90,12 @@ def run(name: str, query, hosting, backend: str, seed: int = 0,
         if parallelism:
             return plan.execute(parallelism=parallelism, rng=rng)
         return plan.execute(rng=rng)
+
+
+def run_reference(name: str, query, hosting, seed: int = 0, cap=None):
+    """The oracle: a recursive set-semantics search over its own filters."""
+    algo = ReferenceRWB(rng=seed) if name == "RWB" else ReferenceECF()
+    return algo.request(build_request(name, query, hosting, cap))
 
 
 # --------------------------------------------------------------------------- #
@@ -95,9 +109,9 @@ class TestKernelStreamParity:
            name=st.sampled_from(["ECF", "RWB"]))
     def test_random_workloads(self, seed, name):
         query, hosting = random_workload(seed)
-        legacy = run(name, query, hosting, "legacy", seed=seed)
+        reference = run_reference(name, query, hosting, seed=seed)
         fast = run(name, query, hosting, "python", seed=seed)
-        assert observables(legacy) == observables(fast)
+        assert observables(reference) == observables(fast)
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -107,9 +121,9 @@ class TestKernelStreamParity:
     def test_result_cap_truncation(self, seed, cap, name):
         """Caps must stop the kernel at exactly the capping leaf."""
         query, hosting = random_workload(seed)
-        legacy = run(name, query, hosting, "legacy", seed=seed, cap=cap)
+        reference = run_reference(name, query, hosting, seed=seed, cap=cap)
         fast = run(name, query, hosting, "python", seed=seed, cap=cap)
-        assert observables(legacy) == observables(fast)
+        assert observables(reference) == observables(fast)
 
     def test_chunk_pause_resume_is_invisible(self, monkeypatch):
         """Tiny chunk budgets force pauses mid-search; results can't change."""
@@ -119,8 +133,8 @@ class TestKernelStreamParity:
         monkeypatch.setattr(kernel, "CHUNK_LEAVES", 1)
         chunked = run("ECF", query, hosting, "python")
         assert observables(baseline) == observables(chunked)
-        legacy = run("ECF", query, hosting, "legacy")
-        assert observables(legacy) == observables(chunked)
+        assert observables(run_reference("ECF", query, hosting)) \
+            == observables(chunked)
 
     def test_describe_reports_kernel(self):
         query, hosting = random_workload(3)
@@ -140,6 +154,19 @@ class TestShardedKernelParity:
         serial = run(name, query, hosting, "python", seed=5)
         sharded = run(name, query, hosting, "python", seed=5, parallelism=2)
         assert observables(serial) == observables(sharded)
+
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_process_sharded_rwb_matches_the_reference_walk(self, seed):
+        """Sharded RWB against an independent walk, not only against its
+        own serial run: the root shuffle, the base seed and every
+        per-subtree stream must be spent exactly as Fig. 5's recursion
+        spends them, whichever worker walks the subtree."""
+        query, hosting = random_workload(11, min_hosts=10, max_hosts=12)
+        reference = run_reference("RWB", query, hosting, seed=seed)
+        sharded = run("RWB", query, hosting, "python", seed=seed,
+                      parallelism=2)
+        assert len(reference.mappings) > 1
+        assert observables(reference) == observables(sharded)
 
     @pytest.mark.parametrize("name", ["ECF", "RWB"])
     def test_thread_shards_match_serial(self, name, monkeypatch):
@@ -180,8 +207,6 @@ class TestShardedKernelParity:
 
 class TestBackendSelection:
     def test_env_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "legacy")
-        assert kernel._init_from_env() == "legacy"
         monkeypatch.setenv("REPRO_KERNEL", "python")
         assert kernel._init_from_env() == "python"
         monkeypatch.delenv("REPRO_KERNEL")
@@ -195,19 +220,37 @@ class TestBackendSelection:
         assert backend in ("python", "numba")
         assert any(issubclass(w.category, RuntimeWarning) for w in caught)
 
-    def test_forced_restores_previous_backend(self):
+    def test_legacy_is_no_longer_a_backend(self, monkeypatch):
+        """``legacy`` once selected a second engine; now it is one more
+        unknown value: the env var warns and resolves to ``auto``, the
+        programmatic switches raise."""
+        monkeypatch.setenv("REPRO_KERNEL", "legacy")
+        with pytest.warns(RuntimeWarning, match="unknown REPRO_KERNEL"):
+            assert kernel._init_from_env() in ("python", "numba")
         before = kernel.active_backend()
-        with kernel.forced("legacy"):
-            assert kernel.active_backend() == "legacy"
+        with pytest.raises(ValueError):
+            kernel.set_backend("legacy")
+        with pytest.raises(ValueError):
+            with kernel.forced("legacy"):
+                pass
         assert kernel.active_backend() == before
+
+    def test_forced_restores_previous_backend(self, monkeypatch):
+        # The njit sources, uncompiled, stand in for a loaded numba table so
+        # the restore has somewhere other than "python" to go back to.
+        monkeypatch.setattr(kernel, "_NUMBA", UNCOMPILED_KERNELS)
+        monkeypatch.setattr(kernel, "_BACKEND", "numba")
+        with kernel.forced("python"):
+            assert kernel.active_backend() == "python"
+        assert kernel.active_backend() == "numba"
 
     def test_require_backend(self):
         kernel.require_backend(kernel.active_backend())
         with pytest.raises(RuntimeError):
-            with kernel.forced("legacy"):
+            with kernel.forced("python"):
                 kernel.require_backend("numba")
 
-    @pytest.mark.skipif(kernel.HAVE_NUMBA, reason="numba is installed")
+    @pytest.mark.skipif(kernel.numba_available(), reason="numba is installed")
     def test_numba_request_without_numba_warns_and_falls_back(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -215,83 +258,31 @@ class TestBackendSelection:
                 assert kernel.active_backend() == "python"
         assert any(issubclass(w.category, RuntimeWarning) for w in caught)
 
-    def test_legacy_backend_skips_plan(self):
-        from repro.core import build_filters
-        from repro.core.base import placed_neighbor_plan
+    def test_numba_availability_is_a_call_time_fact(self, monkeypatch):
+        """Under ``REPRO_KERNEL=python`` nothing probes numba at import; a
+        later probe (``set_backend("numba")``, ``describe()``) must still be
+        believed — availability cannot be frozen when the module loads."""
+        monkeypatch.setattr(kernel, "_BACKEND", "python")
+        monkeypatch.setattr(kernel, "_NUMBA", None)
+        monkeypatch.setattr(kernel, "_NUMBA_LOAD_TRIED", True)   # probe failed
+        assert kernel.numba_available() is False
+        assert kernel.describe()["numba_available"] is False
+        with pytest.warns(RuntimeWarning):
+            assert kernel.set_backend("numba") == "python"
 
-        query, hosting = random_workload(3)
-        filters = build_filters(query, hosting, WINDOW, None)
-        order = sorted(query.nodes(), key=str)
-        prior = placed_neighbor_plan(query, order)
-        with kernel.forced("legacy"):
-            assert kernel.plan_for(filters, order, prior) is None
-        with kernel.forced("python"):
-            assert kernel.plan_for(filters, order, prior) is not None
-
-    def test_plan_cache_invalidation_on_order_change(self):
-        from repro.core import build_filters
-        from repro.core.base import placed_neighbor_plan
-
-        query, hosting = random_workload(7)
-        filters = build_filters(query, hosting, WINDOW, None)
-        order = sorted(query.nodes(), key=str)
-        prior = placed_neighbor_plan(query, order)
-        with kernel.forced("python"):
-            first = kernel.plan_for(filters, order, prior)
-            assert kernel.plan_for(filters, order, prior) is first  # cached
-            reordered = list(reversed(order))
-            re_prior = placed_neighbor_plan(query, reordered)
-            second = kernel.plan_for(filters, reordered, re_prior)
-            assert second is not first
-            assert second.order == tuple(reordered)
-
-    def test_plan_cache_invalidation_on_prior_change(self):
-        from repro.core import build_filters
-        from repro.core.base import placed_neighbor_plan
-
-        query, hosting = random_workload(7)
-        filters = build_filters(query, hosting, WINDOW, None)
-        order = sorted(query.nodes(), key=str)
-        prior = placed_neighbor_plan(query, order)
-        assert any(prior)   # the workload has placed-neighbour slots
-        with kernel.forced("python"):
-            first = kernel.plan_for(filters, order, prior)
-            # Same order, different prior: the cached plan's cell tables
-            # would be stale — the cache must miss.
-            blank = [tuple()] * len(order)
-            second = kernel.plan_for(filters, order, blank)
-            assert second is not first
-            assert second.prior == tuple(blank)
+        monkeypatch.setattr(kernel, "_NUMBA", UNCOMPILED_KERNELS)  # it worked
+        assert kernel.numba_available() is True
+        assert kernel.set_backend("numba") == "numba"
+        described = kernel.describe()
+        assert (described["backend"], described["numba_available"]) \
+            == ("numba", True)
 
 
 # --------------------------------------------------------------------------- #
-# Patched filters keep their word tables fresh
+# Patched filters enumerate their cells like rebuilt ones
 # --------------------------------------------------------------------------- #
 
 class TestPatchedWordParity:
-    def test_patch_carries_word_tables(self):
-        from repro.core import build_filters
-        from repro.core.filters import patch_filters
-
-        query, hosting = random_workload(9, min_hosts=8, max_hosts=8)
-        filters = build_filters(query, hosting, WINDOW, None)
-        base_words = filters.words()
-        epoch = hosting.mutation_count
-        edges = list(hosting.edges())
-        u, v = edges[0][0], edges[0][1]
-        hosting.update_edge(u, v, avgDelay=1000.0)
-        delta = hosting.delta_since(epoch)
-        assert delta is not None and delta.attrs_only
-        patched = patch_filters(filters, query, hosting, WINDOW, None,
-                                delta=delta, max_row_fraction=1.0)
-        if patched is None:
-            pytest.skip("patch fell back to rebuild on this workload")
-        words = patched.words()
-        assert words is not base_words
-        assert words.match.to_masks() == patched.match_masks
-        assert words.non_match.to_masks() == patched.non_match_masks
-        assert words.node_candidates.to_masks() == patched.node_candidate_masks
-
     @staticmethod
     def _reorder_workload(flip: bool):
         """Six hosts where h0's only in-window edge swaps under churn."""
@@ -321,7 +312,7 @@ class TestPatchedWordParity:
         # rows by enumeration had to chase it.  Cells now have one stored
         # form whose views enumerate in canonical order, so a patched
         # snapshot must list its cells exactly as a rebuilt one does, order
-        # included, and the word tables follow the same order.
+        # included.
         from repro.core import build_filters
         from repro.core.filters import patch_filters
 
@@ -346,9 +337,3 @@ class TestPatchedWordParity:
             assert (list(patched.non_match_masks.items())
                     == list(rebuilt.non_match_masks.items()))
             assert patched.node_candidate_masks == rebuilt.node_candidate_masks
-            words = patched.words()
-            assert tuple(words.match.keys) == tuple(rebuilt.match_masks)
-            assert (list(words.match.to_masks().items())
-                    == list(patched.match_masks.items()))
-            assert (list(words.non_match.to_masks().items())
-                    == list(patched.non_match_masks.items()))

@@ -1,12 +1,12 @@
-"""The word-array mask backing: encoding, tables, pickling, boundaries.
+"""The word-array mask backing: encoding, pickling, boundaries.
 
-The kernel refactor re-backs every ``FilterMatrices`` mask as a numpy
-``uint64`` word array behind the existing accessor API.  This suite pins
-the encoding itself (bit *i* lives in word ``i // 64``), the boundary
-cases the word width introduces (exactly 64 hosts, 65, multiples of 64,
-all-zero and all-one words, removals that empty a trailing word), and the
-pickling contract: shipped word tables are private copies, never views
-aliasing the parent's buffers, and compiled-kernel handles never travel.
+Every ``FilterMatrices`` cell is stored as numpy ``uint64`` words behind the
+accessor API.  This suite pins the encoding itself (bit *i* lives in word
+``i // 64``), the boundary cases the word width introduces (exactly 64
+hosts, 65, multiples of 64, all-zero and all-one words, removals that empty
+a trailing word), and the pickling contract: shipped blocks are private
+copies, never views aliasing the parent's buffers, and kernel plans never
+travel.
 """
 
 from __future__ import annotations
@@ -19,15 +19,17 @@ import pytest
 
 from repro.constraints import ConstraintExpression
 from repro.constraints.vectorizer import HAVE_NUMPY, np
-from repro.core import ECF, build_filters
+from repro.api import SearchRequest
+from repro.core import ECF, LNS, build_filters
 from repro.core import kernel
 from repro.core.indexing import WORD_BITS, word_count
+from repro.core.reference import ReferenceECF
 from repro.graphs.hosting import HostingNetwork
 from repro.graphs.query import QueryNetwork
 
 if HAVE_NUMPY:
-    from repro.core.words import (WordTable, mask_to_words, pack_masks,
-                                  unpack_masks, words_to_mask)
+    from repro.core.words import (mask_to_words, pack_masks, unpack_masks,
+                                  words_to_mask)
 
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY,
                                 reason="word arrays require numpy")
@@ -93,22 +95,6 @@ class TestWordEncoding:
         assert unpack_masks(words) == []
 
 
-class TestWordTable:
-    def test_round_trip_preserves_zero_masks_and_order(self):
-        masks = {("q0", "h1"): 5, ("q1", "h0"): 0, ("q2", "h2"): 1 << 64}
-        table = WordTable.from_masks(masks, num_bits=65)
-        assert table.to_masks() == masks
-        assert list(table.to_masks()) == list(masks)  # insertion order kept
-        assert table.mask_of(("q1", "h0")) == 0
-        assert table.row_of(("missing",)) == -1
-
-    def test_pickle_copies_storage(self):
-        table = WordTable.from_masks({"a": 3, "b": 1 << 64}, num_bits=70)
-        clone = pickle.loads(pickle.dumps(table))
-        assert clone.to_masks() == table.to_masks()
-        assert not np.shares_memory(clone.words, table.words)
-
-
 # --------------------------------------------------------------------------- #
 # Workload helpers
 # --------------------------------------------------------------------------- #
@@ -147,6 +133,12 @@ def ecf_search(query, hosting, backend):
             return ECF().search(query, hosting, constraint=WINDOW)
 
 
+def reference_search(query, hosting):
+    """The oracle: recursive set-semantics ECF over its own filter build."""
+    return ReferenceECF().request(
+        SearchRequest.build(query, hosting, constraint=WINDOW))
+
+
 # --------------------------------------------------------------------------- #
 # Boundary cases around the 64-bit word width
 # --------------------------------------------------------------------------- #
@@ -154,20 +146,15 @@ def ecf_search(query, hosting, backend):
 class TestWordBoundaries:
     @pytest.mark.parametrize("num_hosts", [63, 64, 65, 128])
     def test_kernel_matches_legacy_at_boundary(self, num_hosts):
+        """"Legacy" is the original engine: the recursive set-semantics
+        search of ``core/reference.py``."""
         query, hosting = ring_workload(num_hosts)
-        legacy = ecf_search(query, hosting, "legacy")
+        reference = reference_search(query, hosting)
         fast = ecf_search(query, hosting, "python")
-        assert search_signature(legacy) == search_signature(fast)
-        assert legacy.mappings  # the workload is feasible, not vacuous
-
-    @pytest.mark.parametrize("num_hosts", [64, 65])
-    def test_filter_words_round_trip_at_boundary(self, num_hosts):
-        query, hosting = ring_workload(num_hosts)
-        filters = build_filters(query, hosting, WINDOW, None)
-        words = filters.words()
-        assert words.match.num_words == word_count(num_hosts)
-        assert words.match.to_masks() == filters.match_masks
-        assert words.node_candidates.to_masks() == filters.node_candidate_masks
+        assert search_signature(reference) == search_signature(fast)
+        assert (reference.status, reference.timed_out, reference.truncated) \
+            == (fast.status, fast.timed_out, fast.truncated)
+        assert reference.mappings  # the workload is feasible, not vacuous
 
     def test_all_one_and_all_zero_words(self):
         # A trivially-true constraint makes every candidate mask all-ones
@@ -184,9 +171,6 @@ class TestWordBoundaries:
             query, hosting,
             ConstraintExpression("rEdge.avgDelay >= 1000.0"), None)
         assert all(mask == 0 for mask in never.match_masks.values())
-        # Both extremes survive the word round-trip.
-        for filters in (always, never):
-            assert filters.words().match.to_masks() == filters.match_masks
 
     def test_node_removal_empties_trailing_word(self):
         # 65 hosts: h64 is alone in the second word.  Remove it and rebuild;
@@ -197,10 +181,11 @@ class TestWordBoundaries:
         hosting.remove_node("h64")
         hosting.add_edge("h63", "h0", avgDelay=10.0)
         filters = build_filters(query, hosting, WINDOW, None)
-        assert filters.words().match.num_words == word_count(64)
-        legacy = ecf_search(query, hosting, "legacy")
+        assert all(block.words.shape[1] == word_count(64)
+                   for block in filters.blocks.values())
+        reference = reference_search(query, hosting)
         fast = ecf_search(query, hosting, "python")
-        assert search_signature(legacy) == search_signature(fast)
+        assert search_signature(reference) == search_signature(fast)
 
 
 # --------------------------------------------------------------------------- #
@@ -211,7 +196,6 @@ class TestPickleHygiene:
     def test_filters_round_trip(self):
         query, hosting = ring_workload(65)
         filters = build_filters(query, hosting, WINDOW, None)
-        filters.words()  # populate the cache that __getstate__ must strip
         clone = pickle.loads(pickle.dumps(filters))
         assert clone.match_masks == filters.match_masks
         assert clone.non_match_masks == filters.non_match_masks
@@ -221,27 +205,35 @@ class TestPickleHygiene:
     def test_filters_pickle_shares_no_memory(self):
         query, hosting = ring_workload(65)
         filters = build_filters(query, hosting, WINDOW, None)
-        parent_words = filters.words()
         clone = pickle.loads(pickle.dumps(filters))
-        clone_words = clone.words()
-        assert not np.shares_memory(parent_words.match.words,
-                                    clone_words.match.words)
-        assert not np.shares_memory(parent_words.node_candidates.words,
-                                    clone_words.node_candidates.words)
+        for key, block in filters.blocks.items():
+            assert not np.shares_memory(block.words, clone.blocks[key].words)
+            assert not np.shares_memory(block.hosts, clone.blocks[key].hosts)
 
-    def test_filters_pickle_drops_kernel_plan(self):
-        from repro.core.base import placed_neighbor_plan
-
+    def test_prepared_search_pickle_drops_kernel_plan(self):
+        """The plan is owned by the PreparedSearch, built on first search;
+        a pickle carries none and the clone rebuilds its own — to the same
+        stream — from the shipped blocks."""
         query, hosting = ring_workload(24)
-        filters = build_filters(query, hosting, WINDOW, None)
-        order = sorted(query.nodes(), key=str)
-        with kernel.forced("python"):
-            plan = kernel.plan_for(filters, order,
-                                   placed_neighbor_plan(query, order))
-        assert plan is not None
-        assert getattr(filters, "_kernel_plan", None) is plan
-        clone = pickle.loads(pickle.dumps(filters))
-        assert getattr(clone, "_kernel_plan", None) is None
+        request = SearchRequest.build(query, hosting, constraint=WINDOW)
+        plan = ECF().prepare(request)
+        prepared = plan.prepared
+        assert prepared._kernel_plan is None                 # lazy
+        unsearched_blob = pickle.dumps(prepared)
+        original = plan.execute()
+        assert prepared._kernel_plan is prepared.kernel_plan() is not None
+        assert not hasattr(prepared.filters, "_kernel_plan")
+
+        blob = pickle.dumps(prepared)
+        assert blob == unsearched_blob                       # nothing rides
+        assert prepared._kernel_plan is not None             # owner keeps it
+        clone = pickle.loads(blob)
+        assert clone._kernel_plan is None
+        replayed = ECF().prepare(request)
+        replayed.prepared = clone
+        assert search_signature(replayed.execute()) \
+            == search_signature(original)
+        assert clone._kernel_plan is not None
 
     def test_network_pickle_drops_derived_caches(self):
         query, hosting = ring_workload(24)
@@ -277,3 +269,21 @@ class TestPickleHygiene:
         assert clone.allowed_masks == prepared.allowed_masks
         assert clone.adjacency_masks == prepared.adjacency_masks
         assert clone.order == prepared.order
+
+    def test_lns_mask_dicts_round_trip_as_plain_dicts(self):
+        """LNS's two int-mask dicts pickle as what they are (Python ints
+        already serialise as raw little-endian bytes): equal dicts, with
+        insertion order kept, bits above a word boundary included."""
+        query, hosting = ring_workload(65)
+        request = SearchRequest.build(query, hosting, constraint=WINDOW,
+                                      max_results=1)
+        plan = LNS().prepare(request)
+        assert plan.execute().mappings    # fills the adjacency memo
+        prepared = plan.prepared
+        assert prepared.adjacency_masks
+        assert any(mask >> 64 for mask in prepared.allowed_masks.values())
+        clone = pickle.loads(pickle.dumps(prepared))
+        for name in ("allowed_masks", "adjacency_masks"):
+            mine, theirs = getattr(prepared, name), getattr(clone, name)
+            assert type(theirs) is dict
+            assert list(theirs.items()) == list(mine.items())
