@@ -192,7 +192,9 @@ class SearchContext:
     # -- compatibility checks used by the on-the-fly (LNS) search ---------- #
 
     def hosting_orientation(self, r_source: NodeId, r_target: NodeId) -> Optional[Edge]:
-        """The hosting edge orientation covering ``r_source -> r_target``, or ``None``."""
+        """The hosting edge orientation covering ``r_source -> r_target``, or
+        ``None``.  (LNS's batched checks apply the same rule to a whole arc
+        row at a time: :func:`repro.core.filters._placed_host_arcs`.)"""
         hosting = self.hosting
         if hosting.has_edge(r_source, r_target):
             return (r_source, r_target)

@@ -108,10 +108,7 @@ class CellBlock:
 
     def host_mask(self) -> int:
         """Bitmask over the hosts that store a row."""
-        present = np.zeros(self.words.shape[1] * WORD_BITS, dtype=bool)
-        present[self.hosts] = True
-        return int.from_bytes(
-            np.packbits(present, bitorder="little").tobytes(), "little")
+        return _indices_to_mask(self.hosts, self.words.shape[1] * WORD_BITS)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CellBlock):
@@ -347,6 +344,7 @@ class HostingCompile:
     _index_arrays: Optional[Tuple] = field(default=None, repr=False)
     _cell_addresses: Optional[Tuple] = field(default=None, repr=False)
     _arcs: Optional[CellBlock] = field(default=None, repr=False)
+    _source_rows: Optional[Tuple] = field(default=None, repr=False)
     #: Memoised vectorizer columns: (source slot, attr) -> (values, missing)
     #: array pair, or ``None`` when the attribute is non-numeric somewhere.
     _columns: Dict[Tuple[int, str], Optional[Tuple]] = field(
@@ -422,6 +420,25 @@ class HostingCompile:
                                      self.num_hosts)
         return self._arcs
 
+    def rows_from(self, host_index: int):
+        """The ``host_pair_info`` rows whose ``ra`` is the host at
+        *host_index*, ascending (a view into a lazily built CSR index).
+
+        One row per hosting neighbour of the host — an arc in either
+        direction makes a row — which is what a lazy per-host check (LNS)
+        reads instead of the whole table.  Structural like :meth:`arcs`, so
+        it needs no invalidation either.
+        """
+        index = self._source_rows
+        if index is None:
+            ra_idx = self.index_arrays()[0]
+            order = np.argsort(ra_idx, kind="stable")
+            starts = np.searchsorted(ra_idx[order],
+                                     np.arange(self.num_hosts + 1))
+            index = self._source_rows = (order, starts.tolist())
+        order, starts = index
+        return order[starts[host_index]:starts[host_index + 1]]
+
     def column(self, source_index: int, attr: str) -> Optional[Tuple]:
         """(values, missing) arrays for one attribute over one dict column.
 
@@ -483,24 +500,38 @@ class HostingCompile:
 _COMPILE_CACHE_ATTR = "_hosting_compile"
 
 
+def peek_hosting_compile(hosting: HostingNetwork) -> Optional[HostingCompile]:
+    """The memoised compile of *hosting* if it can be used as it stands, else
+    ``None`` — never builds one.
+
+    Usable means fresh, or stale by attribute-only churn (the monitoring
+    case): that leaves the topology — and therefore the indexer and the arc
+    table, whose attribute dicts are live references — intact, so patching
+    the memoised vectorizer columns for the touched rows, done here, is all
+    a recompile would do.  This is the one place the staleness rule lives;
+    callers that must not pay for a compile (LNS) stop at ``None``.
+    """
+    cached = getattr(hosting, _COMPILE_CACHE_ATTR, None)
+    if cached is None or cached.hosting is not hosting:
+        return None
+    if cached.stale and not patch_hosting_compile(
+            cached, hosting.delta_since(cached.epoch)):
+        return None
+    return cached
+
+
 def compile_hosting(hosting: HostingNetwork) -> HostingCompile:
     """Compile (or fetch the memoised compile of) a hosting network.
 
     The result is cached on the network object and reused until any of the
-    network's mutators bumps :attr:`~repro.graphs.network.Network.mutation_count`,
-    so back-to-back filter builds against an unchanged model — the dominant
-    pattern of the NETEMBED service — skip the whole hosting-side scan.
+    network's mutators bumps :attr:`~repro.graphs.network.Network.mutation_count`
+    (see :func:`peek_hosting_compile`), so back-to-back filter builds against
+    an unchanged model — the dominant pattern of the NETEMBED service — skip
+    the whole hosting-side scan.
     """
-    cached = getattr(hosting, _COMPILE_CACHE_ATTR, None)
-    if cached is not None and cached.hosting is hosting:
-        if not cached.stale:
-            return cached
-        # Attribute-only churn (the monitoring case) leaves the topology —
-        # and therefore the indexer and the arc table, whose attribute dicts
-        # are live references — intact; patching the memoised vectorizer
-        # columns for the touched rows is all a recompile requires.
-        if patch_hosting_compile(cached, hosting.delta_since(cached.epoch)):
-            return cached
+    cached = peek_hosting_compile(hosting)
+    if cached is not None:
+        return cached
 
     stopwatch = Stopwatch().start()
     # Capture the epoch BEFORE scanning: a mutation that lands mid-compile
@@ -690,8 +721,12 @@ def build_filters(query: QueryNetwork, hosting: HostingNetwork,
     return filters
 
 
-_R_OBJECTS = ("rEdge", "rSource", "rTarget")
 _V_OBJECTS = ("vEdge", "vSource", "vTarget")
+#: The ``host_pair_info`` slot each hosting-side object is read from, as
+#: ``(forward, backward)``: on a row ``(ra, rb)``, *forward* places
+#: ``(rEdge, rSource, rTarget)`` on ``(ab, a, b)`` — the hosting arc runs
+#: ``ra -> rb`` — and *backward* on ``(ba, b, a)``.
+_COLUMN_SOURCES = {"rEdge": (4, 5), "rSource": (6, 7), "rTarget": (7, 6)}
 #: Budget, in cells, for the transient dense boolean the packing step
 #: scatters verdicts into.  A full build whose ``num_hosts²`` exceeds it
 #: stays on the scalar loop, and :func:`_pack_cells` works in bands of
@@ -725,21 +760,30 @@ def _query_edge_scalar(query, key, q_source, q_target):
     return float(value), False
 
 
-def _query_edge_scalars(query, keys, pair_edges):
-    """Per-query-edge bindings of the referenced ``v*`` attributes, or
-    ``None`` when any defined value is non-numeric."""
+def _query_edge_scalars(query, keys, edges):
+    """Per-query-edge bindings of the referenced ``v*`` attributes for the
+    oriented query *edges*, or ``None`` when any defined value is
+    non-numeric."""
     v_keys = [key for key in keys if key[0] in _V_OBJECTS]
     edge_scalars = {}
-    for edges_between in pair_edges.values():
-        for q_source, q_target in edges_between:
-            bindings = {}
-            for key in v_keys:
-                scalar = _query_edge_scalar(query, key, q_source, q_target)
-                if scalar is None:
-                    return None
-                bindings[key] = scalar
-            edge_scalars[(q_source, q_target)] = bindings
+    for q_source, q_target in edges:
+        bindings = {}
+        for key in v_keys:
+            scalar = _query_edge_scalar(query, key, q_source, q_target)
+            if scalar is None:
+                return None
+            bindings[key] = scalar
+        edge_scalars[(q_source, q_target)] = bindings
     return edge_scalars
+
+
+def _indices_to_mask(indices, num_bits: int) -> int:
+    """The int bitmask with exactly the bits at *indices* (an index array)
+    set, out of *num_bits*."""
+    present = np.zeros(num_bits, dtype=bool)
+    present[indices] = True
+    return int.from_bytes(
+        np.packbits(present, bitorder="little").tobytes(), "little")
 
 
 def _mask_to_bool_array(mask: int, num_bits: int):
@@ -747,6 +791,27 @@ def _mask_to_bool_array(mask: int, num_bits: int):
     data = mask.to_bytes((num_bits + 7) // 8, "little") if num_bits else b""
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8),
                          bitorder="little", count=num_bits).astype(bool)
+
+
+def _vector_plan(constraint):
+    """``(batch kernel, referenced (object, attribute) keys)`` when the edge
+    constraint is inside the vectorizable fragment — ``(None, [])`` for a
+    trivial one — else ``None``: strict mode (its missing-attribute errors
+    belong to the scalar path), an expression shape the vectorizer declines
+    (``isBoundTo``, strings, division), or a reference to an object outside
+    Table I's edge objects."""
+    if getattr(constraint, "strict", False):
+        return None
+    if constraint.is_trivial:
+        return None, []
+    kernel = cached_vector_kernel(constraint)
+    if kernel is None:
+        return None
+    keys = referenced_attributes(constraint.ast)
+    if any(obj not in _COLUMN_SOURCES and obj not in _V_OBJECTS
+           for obj, _ in keys):
+        return None
+    return kernel, keys
 
 
 # --------------------------------------------------------------------------- #
@@ -785,19 +850,11 @@ def _pair_verdicts_vectorized(query, constraint, pair_edges, compiled,
     queries against an unchanged model only pay for the per-query batch
     evaluation.
     """
-    if getattr(constraint, "strict", False):
-        return None  # strict missing-attribute errors belong to the scalar path
-    trivial = constraint.is_trivial
-    kernel = None
-    keys = []
-    if not trivial:
-        kernel = cached_vector_kernel(constraint)
-        if kernel is None:
-            return None
-        keys = referenced_attributes(constraint.ast)
-        if any(obj not in _R_OBJECTS and obj not in _V_OBJECTS
-               for obj, _ in keys):
-            return None
+    plan = _vector_plan(constraint)
+    if plan is None:
+        return None
+    kernel, keys = plan
+    trivial = kernel is None
     indexer = compiled.indexer
     num_hosts = len(indexer)
     if rows is None and num_hosts * num_hosts > _MAX_DENSE_CELLS:
@@ -809,16 +866,14 @@ def _pair_verdicts_vectorized(query, constraint, pair_edges, compiled,
         exists_fwd, exists_bwd = exists_fwd[rows], exists_bwd[rows]
 
     # One (values, missing) column pair per referenced hosting-side
-    # attribute, per orientation: "forward" places (rEdge, rSource, rTarget)
-    # on (ab, a, b), "backward" on (ba, b, a) — see the scalar loop.
-    column_sources = {"rEdge": (4, 5), "rSource": (6, 7), "rTarget": (7, 6)}
+    # attribute, per orientation (see _COLUMN_SOURCES and the scalar loop).
     env_fwd = {}
     env_bwd = {}
     for key in keys:
         obj, attr = key
-        if obj not in column_sources:
+        if obj not in _COLUMN_SOURCES:
             continue
-        fwd_source, bwd_source = column_sources[obj]
+        fwd_source, bwd_source = _COLUMN_SOURCES[obj]
         fwd = compiled.column(fwd_source, attr)
         bwd = fwd if bwd_source == fwd_source else compiled.column(bwd_source, attr)
         if fwd is None or bwd is None:
@@ -831,7 +886,9 @@ def _pair_verdicts_vectorized(query, constraint, pair_edges, compiled,
 
     # Pre-scan the query side: every referenced attribute must be numeric or
     # missing on every query edge, otherwise scalar error semantics apply.
-    edge_scalars = _query_edge_scalars(query, keys, pair_edges)
+    edge_scalars = _query_edge_scalars(
+        query, keys, [edge for edges_between in pair_edges.values()
+                      for edge in edges_between])
     if edge_scalars is None:
         return None
 
@@ -924,6 +981,135 @@ def _pair_verdicts_scalar(query, constraint, pair_edges, compiled,
         verdicts[(qa, qb)] = np.fromiter(verdict, dtype=bool,
                                          count=len(verdict))
     return verdicts, evaluations
+
+
+# --------------------------------------------------------------------------- #
+# Lazy verdicts: the constraint over one placed host's arcs (LNS)
+# --------------------------------------------------------------------------- #
+
+#: Budget, in bytes, for the verdict masks one :class:`LazyEdgeVerdicts`
+#: keeps between executes; past it the whole memo is dropped.
+_VERDICT_MEMO_BYTES = 1 << 19
+
+
+def _placed_host_arcs(compiled: HostingCompile, placed_index: int,
+                      placed_is_source: bool):
+    """``(rows, offered, exists, side)``: how one placed host's arc rows are
+    read for a connecting query edge — the one statement of the lazy check's
+    orientation and existence rule (the array form of
+    :meth:`SearchContext.hosting_orientation
+    <repro.core.base.SearchContext.hosting_orientation>` followed by
+    :func:`~repro.constraints.edge_context`).
+
+    The host at *placed_index* carries one endpoint of the query edge and
+    every row ``(ra=placed, rb)`` offers ``rb`` for the other.  When the
+    placed endpoint is the edge's source the hosting arc must run
+    ``placed -> offered`` and the row is read forward (*side* 0 of
+    :data:`_COLUMN_SOURCES`: ``rEdge`` from slot 4, ``rSource`` 6,
+    ``rTarget`` 7); when it is the target the arc must run
+    ``offered -> placed`` and the same row is read backward (*side* 1:
+    slots 5, 7, 6).  *exists* is that slot being filled: on an undirected
+    hosting network either stored direction fills both, on a directed one
+    only the arc in the query edge's direction does.
+    """
+    rows = compiled.rows_from(placed_index)
+    _ra_idx, rb_idx, exists_fwd, exists_bwd = compiled.index_arrays()
+    side = 0 if placed_is_source else 1
+    return rows, rb_idx[rows], (exists_bwd if side else exists_fwd)[rows], side
+
+
+class LazyEdgeVerdicts:
+    """LNS's connecting-edge check for every hosting neighbour of a placed
+    host at once, memoised for the life of one ``PreparedSearch``.
+
+    :meth:`plan` holds what is fixed by (query, constraint) — the batch
+    kernel, the hosting-side keys it reads and the query-side bindings of
+    every query edge; :meth:`bind` adds what one execute reads off the
+    hosting compile it found.  A lookup answers, for one query edge and the
+    host its placed endpoint sits on, two bitmasks over the dense host
+    index: *exists* (hosts joined to the placed one by an arc in the edge's
+    direction — the ones the scalar check would evaluate the constraint for)
+    and *passed* (those of them the constraint accepts).  Both are pure
+    functions of the model at the plan's epoch, which is why they may be
+    kept between executes and must not be carried to a patched plan.
+    """
+
+    __slots__ = ("kernel", "r_keys", "bindings", "masks")
+
+    def __init__(self, kernel, r_keys, bindings) -> None:
+        #: ``None`` for a trivial constraint: *passed* is *exists*.
+        self.kernel = kernel
+        self.r_keys = r_keys
+        self.bindings = bindings
+        #: ``(q_source, q_target, placed index, placed_is_source)`` ->
+        #: ``(exists, passed)``.  Replaced, never cleared, on overflow: an
+        #: execute running beside the one that overflowed keeps its dict.
+        self.masks: Dict[Tuple, Tuple[int, int]] = {}
+
+    @classmethod
+    def plan(cls, query: QueryNetwork, constraint: ConstraintExpression
+             ) -> Optional["LazyEdgeVerdicts"]:
+        """The verdicts of (*query*, *constraint*), or ``None`` when the
+        scalar checks must answer: the constraint is outside the
+        vectorizable fragment (:func:`_vector_plan`) or a query-side
+        attribute it reads is non-numeric on some query edge."""
+        vector_plan = _vector_plan(constraint)
+        if vector_plan is None:
+            return None
+        kernel, keys = vector_plan
+        # An undirected query edge is checked in whichever orientation the
+        # walk meets it.
+        edges = query.edges()
+        if not query.directed:
+            edges += [(q_target, q_source) for q_source, q_target in edges]
+        bindings = _query_edge_scalars(query, keys, edges)
+        if bindings is None:
+            return None
+        return cls(kernel, [key for key in keys if key[0] in _COLUMN_SOURCES],
+                   bindings)
+
+    def bind(self, compiled: HostingCompile):
+        """This execute's lookup ``(q_source, q_target, placed_index,
+        placed_is_source) -> (exists, passed)`` over *compiled*, or ``None``
+        when a hosting attribute the constraint reads is non-numeric."""
+        columns = ({}, {})
+        for key in self.r_keys:
+            obj, attr = key
+            for side, slot in enumerate(_COLUMN_SOURCES[obj]):
+                column = compiled.column(slot, attr)
+                if column is None:
+                    return None
+                columns[side][key] = column
+        kernel = self.kernel
+        bindings = self.bindings
+        num_hosts = compiled.num_hosts
+        # Two masks of num_hosts bits, their tuple, the key and a dict slot.
+        limit = max(1, _VERDICT_MEMO_BYTES // (2 * (num_hosts // 7 + 32) + 256))
+
+        def lookup(q_source, q_target, placed_index, placed_is_source):
+            key = (q_source, q_target, placed_index, placed_is_source)
+            memo = self.masks
+            found = memo.get(key)
+            if found is not None:
+                return found
+            rows, offered, exists, side = _placed_host_arcs(
+                compiled, placed_index, placed_is_source)
+            exists_mask = passed_mask = _indices_to_mask(offered[exists],
+                                                         num_hosts)
+            if kernel is not None:
+                env = dict(bindings[(q_source, q_target)])
+                for r_key, (values, missing) in columns[side].items():
+                    env[r_key] = (values[rows], missing[rows])
+                value, bad = kernel(env)
+                passed = exists & np.logical_and(value, np.logical_not(bad))
+                passed_mask = _indices_to_mask(offered[passed], num_hosts)
+            found = (exists_mask, passed_mask)
+            if len(memo) >= limit:
+                memo = self.masks = {}
+            memo[key] = found
+            return found
+
+        return lookup
 
 
 # --------------------------------------------------------------------------- #

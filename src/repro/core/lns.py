@@ -30,16 +30,34 @@ highest-degree external vertex whenever Neighbors runs dry.
 Correctness and completeness follow the argument of the paper's appendix:
 every extension of a promising partial mapping is attempted, so if a feasible
 mapping exists some branch of the recursion constructs it.
+
+**Batched lazy checks.**  Step 2's check is still lazy — only (connecting
+query edge, placed host) pairs a walk reaches are ever looked at, the filter
+matrices are never built and LNS never *causes* a hosting compile — but when
+some earlier ECF/RWB build left a :class:`~repro.core.filters.HostingCompile`
+on the network (:func:`~repro.core.filters.peek_hosting_compile`), one
+vectorizer call over the placed host's arc rows answers the check for all of
+its hosting neighbours at once, as an *exists* and a *passed* bitmask
+(:class:`~repro.core.filters.LazyEdgeVerdicts`, memoised on the
+``PreparedSearch``).  The walk then intersects masks, recurses only into the
+surviving hosts in the unchanged trial order, and credits
+``constraint_evaluations`` for exactly the hosts the one-at-a-time loop would
+have tried before it recursed, stopped or ran out — streams and all four
+counters are equal by construction.  The one-at-a-time checks
+(:meth:`LNS._connecting_edges_ok`) remain the path whenever there is no
+compile to read (always so in a shard worker), the constraint is outside the
+vectorizable fragment (``isBoundTo``, strings, division, strict mode) or an
+attribute it reads is non-numeric on either side.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.api.registry import Capability, register_algorithm
 from repro.api.request import SearchRequest
 from repro.core.base import EmbeddingAlgorithm, SearchContext
-from repro.core.filters import compute_node_candidates
+from repro.core.filters import compute_node_candidates, peek_hosting_compile
 from repro.core.indexing import NodeIndexer
 from repro.core.ordering import lns_next_neighbor
 from repro.core.plan import PreparedSearch
@@ -112,7 +130,24 @@ class LNS(EmbeddingAlgorithm):
         allowed_masks = {node: indexer.encode(hosts)
                          for node, hosts in node_allowed.items()}
         return PreparedSearch(indexer=indexer, allowed_masks=allowed_masks,
-                              adjacency_masks={})
+                              adjacency_masks={},
+                              degree_rank=self._degree_rank(request.hosting,
+                                                            indexer))
+
+    def _degree_rank(self, hosting, indexer: NodeIndexer) -> Optional[List[int]]:
+        """Each host's position, by dense index, in the ``"degree"`` trial
+        order over all hosts (``None`` for ``"sorted"``, which is the index
+        order itself).  Ties fall back to index order, so ordering any
+        candidate subset by rank equals sorting it by ``(-degree, str)``."""
+        if self._candidate_order != "degree":
+            return None
+        nodes = indexer.nodes
+        rank = [0] * len(nodes)
+        by_degree = sorted(range(len(nodes)),
+                           key=lambda i: (-hosting.degree(nodes[i]), str(nodes[i])))
+        for position, index in enumerate(by_degree):
+            rank[index] = position
+        return rank
 
     def _patch_prepared(self, request: SearchRequest,
                         prepared: PreparedSearch, delta) -> Optional[PreparedSearch]:
@@ -148,10 +183,13 @@ class LNS(EmbeddingAlgorithm):
                 allowed_masks[query_node] = mask
         if any(not allowed_masks.get(node) for node in request.query.nodes()):
             return PreparedSearch(infeasible=True)
-        # The adjacency memo is purely structural and monotone: safe to keep
-        # sharing between the old and the patched plan.
+        # The adjacency memo and the degree rank are purely structural (the
+        # memo monotone too): safe to keep sharing between the old and the
+        # patched plan.  The edge-verdict memo read the old attributes and
+        # is not carried over.
         return PreparedSearch(indexer=indexer, allowed_masks=allowed_masks,
-                              adjacency_masks=prepared.adjacency_masks)
+                              adjacency_masks=prepared.adjacency_masks,
+                              degree_rank=prepared.degree_rank)
 
     def _run_prepared(self, context: SearchContext,
                       prepared: PreparedSearch) -> bool:
@@ -159,9 +197,23 @@ class LNS(EmbeddingAlgorithm):
         covered: List[NodeId] = []
         neighbors: Set[NodeId] = set()
         external: Set[NodeId] = set(context.query.nodes())
-        return self._extend(context, prepared.indexer, prepared.allowed_masks,
-                            prepared.adjacency_masks, assignment, 0, covered,
-                            neighbors, external)
+        return self._extend(context, prepared,
+                            self._edge_lookup(context, prepared), assignment,
+                            0, covered, neighbors, external)
+
+    @staticmethod
+    def _edge_lookup(context: SearchContext, prepared: PreparedSearch
+                     ) -> Optional[Callable]:
+        """This run's batched connecting-edge lookup
+        (:meth:`LazyEdgeVerdicts.bind <repro.core.filters.LazyEdgeVerdicts.bind>`),
+        or ``None`` when the one-at-a-time checks must answer: no hosting
+        compile to read — only looked for, never built — or a constraint,
+        query or hosting attribute outside the vectorizable fragment."""
+        compiled = peek_hosting_compile(context.hosting)
+        if compiled is None:
+            return None
+        verdicts = prepared.edge_verdicts(context.query, context.constraint)
+        return None if verdicts is None else verdicts.bind(compiled)
 
     # -- sharding: contiguous slices of the seed vertex's trial order ------ #
 
@@ -178,8 +230,7 @@ class LNS(EmbeddingAlgorithm):
 
         context.check_deadline()
         seed = self._seed_vertex(context)
-        hosts = self._order_candidates(context, prepared.indexer,
-                                       prepared.allowed_masks[seed])
+        hosts = self._order_candidates(prepared, prepared.allowed_masks[seed])
         context.stats.nodes_expanded += 1
         context.stats.candidates_considered += len(hosts)
         if not hosts:
@@ -204,12 +255,11 @@ class LNS(EmbeddingAlgorithm):
         new_neighbors = {n for n in query.neighbors(current) if n != current}
         new_external = external - {current} - new_neighbors
         bit_of = prepared.indexer.bit
+        lookup = self._edge_lookup(context, prepared)
         assignment: Dict[NodeId, NodeId] = {}
         for host in hosts:
             assignment[current] = host
-            keep_going = self._extend(context, prepared.indexer,
-                                      prepared.allowed_masks,
-                                      prepared.adjacency_masks, assignment,
+            keep_going = self._extend(context, prepared, lookup, assignment,
                                       bit_of(host), new_covered, new_neighbors,
                                       new_external)
             del assignment[current]
@@ -228,14 +278,19 @@ class LNS(EmbeddingAlgorithm):
             adjacency_masks[host] = mask
         return mask
 
-    def _extend(self, context: SearchContext, indexer: NodeIndexer,
-                allowed_masks: Dict[NodeId, int],
-                adjacency_masks: Dict[NodeId, int],
+    def _extend(self, context: SearchContext, prepared: PreparedSearch,
+                lookup: Optional[Callable],
                 assignment: Dict[NodeId, NodeId], used_mask: int,
                 covered: List[NodeId], neighbors: Set[NodeId],
                 external: Set[NodeId]) -> bool:
-        """Recursive step 5–16 of Fig. 7.  Returns ``False`` iff stopped early."""
+        """Recursive step 5–16 of Fig. 7.  Returns ``False`` iff stopped early.
+
+        *lookup* is the run's batched edge check (:meth:`_edge_lookup`) or
+        ``None`` for the one-at-a-time checks.
+        """
         context.check_deadline()
+        indexer = prepared.indexer
+        allowed_masks = prepared.allowed_masks
 
         if not neighbors:
             if not external:
@@ -261,8 +316,8 @@ class LNS(EmbeddingAlgorithm):
             # the same invariant the word-array mask tables rely on.
             candidates_mask = indexer.full_mask
             for _, host in connecting:
-                candidates_mask &= self._adjacency_mask(context, indexer,
-                                                        adjacency_masks, host)
+                candidates_mask &= self._adjacency_mask(
+                    context, indexer, prepared.adjacency_masks, host)
                 if not candidates_mask:
                     break
             candidates_mask &= allowed_masks[current] & ~used_mask
@@ -281,20 +336,82 @@ class LNS(EmbeddingAlgorithm):
                                       if n in external and n != current}) - {current}
         new_external = external - {current} - new_neighbors
 
+        if lookup is None:
+            passing = (host for host
+                       in self._order_candidates(prepared, candidates_mask)
+                       if self._connecting_edges_ok(context, query_edges,
+                                                    assignment, current, host))
+        else:
+            passing = self._passing_hosts(context, prepared, lookup,
+                                          query_edges, assignment, current,
+                                          candidates_mask)
         bit_of = indexer.bit
-        for host in self._order_candidates(context, indexer, candidates_mask):
-            if not self._connecting_edges_ok(context, query_edges, assignment,
-                                             current, host):
-                continue
+        for host in passing:
             assignment[current] = host
-            keep_going = self._extend(context, indexer, allowed_masks,
-                                      adjacency_masks, assignment,
+            keep_going = self._extend(context, prepared, lookup, assignment,
                                       used_mask | bit_of(host),
                                       new_covered, new_neighbors, new_external)
             del assignment[current]
             if not keep_going:
                 return False
         return True
+
+    def _passing_hosts(self, context: SearchContext, prepared: PreparedSearch,
+                       lookup: Callable, query_edges: List[Edge],
+                       assignment: Dict[NodeId, NodeId], current: NodeId,
+                       candidates_mask: int) -> Iterator[NodeId]:
+        """Step 7–8 of Fig. 7 as mask algebra: the candidates every
+        connecting edge supports, in trial order.
+
+        Equal to filtering the trial order through
+        :meth:`_connecting_edges_ok`, counters included: a candidate is
+        evaluated against an edge iff it survived the edges before it and the
+        hosting arc exists (``alive & exists``), and those evaluations are
+        credited only once the one-at-a-time loop would have made them — for
+        the candidates tried up to each host handed out, and for the rest
+        when the list runs out.  A consumer that stops early (result cap,
+        deadline) therefore leaves the untried candidates uncounted.
+        """
+        indexer = prepared.indexer
+        alive = candidates_mask
+        evaluated: List[int] = []
+        for q_source, q_target in query_edges:
+            placed_is_source = q_source != current
+            placed = assignment[q_source if placed_is_source else q_target]
+            exists, passed = lookup(q_source, q_target,
+                                    indexer.index_of(placed), placed_is_source)
+            alive &= exists
+            evaluated.append(alive)
+            alive &= passed
+            if not alive:
+                break   # no candidate reaches the remaining edges
+        if context.constraint.is_trivial:
+            evaluated = []   # existence only: nothing is evaluated
+
+        stats = context.stats
+        credited = 0
+        if self._candidate_order == "sorted":
+            trials = ((index, (2 << index) - 1)
+                      for index in indexer.iter_indices(alive))
+        else:
+            trials = self._degree_trials(prepared, candidates_mask, alive)
+        for index, tried in trials:
+            total = sum((mask & tried).bit_count() for mask in evaluated)
+            stats.constraint_evaluations += total - credited
+            credited = total
+            yield indexer.node_at(index)
+        stats.constraint_evaluations += (
+            sum(mask.bit_count() for mask in evaluated) - credited)
+
+    def _degree_trials(self, prepared: PreparedSearch, candidates_mask: int,
+                       alive: int) -> Iterator[Tuple[int, int]]:
+        """``(host index, mask of the candidates tried up to and including
+        it)`` per *alive* host, in descending-degree trial order."""
+        tried = 0
+        for index in self._trial_indices(prepared, candidates_mask):
+            tried |= 1 << index
+            if alive >> index & 1:
+                yield index, tried
 
     # ------------------------------------------------------------------ #
 
@@ -323,7 +440,12 @@ class LNS(EmbeddingAlgorithm):
     def _connecting_edges_ok(context: SearchContext, query_edges: List[Edge],
                              assignment: Dict[NodeId, NodeId],
                              current: NodeId, host: NodeId) -> bool:
-        """Step 7–8 of Fig. 7: every connecting edge must be supported and satisfied."""
+        """Step 7–8 of Fig. 7: every connecting edge must be supported and
+        satisfied — one candidate, one edge at a time.  The orientation and
+        existence rule applied here (through
+        :meth:`SearchContext.query_edge_supported`) is written in array form
+        in :func:`repro.core.filters._placed_host_arcs`, which the batched
+        path (:meth:`_passing_hosts`) reads."""
         for q_source, q_target in query_edges:
             r_source = host if q_source == current else assignment[q_source]
             r_target = host if q_target == current else assignment[q_target]
@@ -331,10 +453,17 @@ class LNS(EmbeddingAlgorithm):
                 return False
         return True
 
-    def _order_candidates(self, context: SearchContext, indexer: NodeIndexer,
+    def _trial_indices(self, prepared: PreparedSearch, candidates_mask: int):
+        """The dense indices of *candidates_mask*'s hosts in trial order."""
+        # Ascending index is ascending str order, the "sorted" default.
+        indices = prepared.indexer.iter_indices(candidates_mask)
+        if self._candidate_order == "sorted":
+            return indices
+        return sorted(indices, key=prepared.degree_rank.__getitem__)
+
+    def _order_candidates(self, prepared: PreparedSearch,
                           candidates_mask: int) -> List[NodeId]:
-        # Decoding already yields ascending str order, the "sorted" default.
-        candidates = indexer.decode(candidates_mask)
-        if self._candidate_order == "degree":
-            candidates.sort(key=lambda n: (-context.hosting.degree(n), str(n)))
-        return candidates
+        """The hosts of *candidates_mask* in trial order."""
+        nodes = prepared.indexer.nodes
+        return [nodes[index]
+                for index in self._trial_indices(prepared, candidates_mask)]

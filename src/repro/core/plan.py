@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.api.request import Budget, SearchRequest
-from repro.core.filters import FilterMatrices
+from repro.core.filters import FilterMatrices, LazyEdgeVerdicts
 from repro.core.indexing import NodeIndexer
 from repro.core.kernel import KernelPlan, active_backend
 from repro.core.mapping import Mapping
@@ -58,8 +58,9 @@ class PreparedSearch:
 
     Which fields are populated depends on the algorithm: ECF/RWB fill
     :attr:`filters`/:attr:`order`/:attr:`prior`, LNS fills
-    :attr:`indexer`/:attr:`allowed_masks` (its constraints are evaluated
-    lazily at search time), and algorithms without a separable prepare stage
+    :attr:`indexer`/:attr:`allowed_masks` (its edge constraint is evaluated
+    lazily at search time — :meth:`edge_verdicts` memoises what a walk
+    evaluated), and algorithms without a separable prepare stage
     leave everything empty — their plans simply re-run the search from
     scratch on every execute.
     """
@@ -76,6 +77,10 @@ class PreparedSearch:
     allowed_masks: Optional[Dict[NodeId, int]] = None
     #: LNS: memoised hosting adjacency bitmasks, shared across executes.
     adjacency_masks: Optional[Dict[NodeId, int]] = None
+    #: LNS with ``candidate_order="degree"``: each host's position (by dense
+    #: index) in the descending-degree trial order.  Structural, so a patched
+    #: plan shares it like :attr:`adjacency_masks`.
+    degree_rank: Optional[List[int]] = None
     #: Some query node has no candidate at all: every execute is an empty,
     #: provably complete search and the tree stage is skipped entirely.
     infeasible: bool = False
@@ -92,6 +97,15 @@ class PreparedSearch:
     #: ECF/RWB: :meth:`kernel_plan`'s memo — derived, so never pickled.
     _kernel_plan: Optional[KernelPlan] = field(
         default=None, init=False, repr=False, compare=False)
+    #: LNS: the batched connecting-edge verdicts and their memo — per
+    #: (query edge, orientation, placed host) an *exists* and a *passed* mask,
+    #: filled only for pairs a walk reaches while a hosting compile is there
+    #: to read (LNS never builds one), so a re-execute against an unchanged
+    #: model does bit operations only.  Bounded in bytes (dropped whole past
+    #: the cap), valid for this object's model epoch only — a patched plan
+    #: starts without it — and derived, so never pickled.
+    _edge_verdicts: Optional[LazyEdgeVerdicts] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def kernel_plan(self) -> KernelPlan:
         """ECF/RWB: the search-ready view of this object's one
@@ -102,11 +116,23 @@ class PreparedSearch:
                                                   self.prior)
         return plan
 
+    def edge_verdicts(self, query, constraint) -> Optional[LazyEdgeVerdicts]:
+        """LNS: this object's batched connecting-edge verdicts, planned on
+        first use and kept; ``None`` when (*query*, *constraint*) — the
+        prepared request's own — is answered by the scalar checks."""
+        verdicts = self._edge_verdicts
+        if verdicts is None:
+            verdicts = self._edge_verdicts = LazyEdgeVerdicts.plan(
+                query, constraint)
+        return verdicts
+
     def __getstate__(self):
         """Pickle the compiled artifacts only; a shard rebuilds the kernel
-        plan from the shipped blocks in its own process."""
+        plan from the shipped blocks in its own process (and, holding no
+        hosting compile, runs LNS's scalar checks)."""
         state = dict(self.__dict__)
         state["_kernel_plan"] = None
+        state["_edge_verdicts"] = None
         return state
 
 

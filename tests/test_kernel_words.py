@@ -20,7 +20,7 @@ import pytest
 from repro.constraints import ConstraintExpression
 from repro.constraints.vectorizer import HAVE_NUMPY, np
 from repro.api import SearchRequest
-from repro.core import ECF, LNS, build_filters
+from repro.core import ECF, LNS, build_filters, compile_hosting
 from repro.core import kernel
 from repro.core.indexing import WORD_BITS, word_count
 from repro.core.reference import ReferenceECF
@@ -273,17 +273,23 @@ class TestPickleHygiene:
     def test_lns_mask_dicts_round_trip_as_plain_dicts(self):
         """LNS's two int-mask dicts pickle as what they are (Python ints
         already serialise as raw little-endian bytes): equal dicts, with
-        insertion order kept, bits above a word boundary included."""
+        insertion order kept, bits above a word boundary included.  The
+        edge-verdict memo is derived from the hosting compile and stays
+        behind."""
         query, hosting = ring_workload(65)
         request = SearchRequest.build(query, hosting, constraint=WINDOW,
                                       max_results=1)
+        compile_hosting(hosting)          # so the run fills a verdict memo
         plan = LNS().prepare(request)
         assert plan.execute().mappings    # fills the adjacency memo
         prepared = plan.prepared
         assert prepared.adjacency_masks
+        assert prepared._edge_verdicts.masks
         assert any(mask >> 64 for mask in prepared.allowed_masks.values())
         clone = pickle.loads(pickle.dumps(prepared))
         for name in ("allowed_masks", "adjacency_masks"):
             mine, theirs = getattr(prepared, name), getattr(clone, name)
             assert type(theirs) is dict
             assert list(theirs.items()) == list(mine.items())
+        assert clone._edge_verdicts is None
+        assert prepared._edge_verdicts.masks    # the owner keeps its memo
