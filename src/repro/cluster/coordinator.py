@@ -36,7 +36,7 @@ import networkx as nx
 
 from repro import faults
 from repro.api.request import SearchRequest, coerce_constraint
-from repro.constraints import ConstraintExpression, edge_context
+from repro.constraints import edge_context
 from repro.constraints.builder import host_delay_within_query_window
 from repro.core.base import EmbeddingAlgorithm
 from repro.core.ecf import ECF
@@ -162,8 +162,14 @@ class PartitionWorker:
 
     def search(self, query: QueryNetwork, algorithm: EmbeddingAlgorithm,
                constraint, node_constraint, timeout: Optional[float],
-               max_results: Optional[int], seed=None) -> EmbeddingResult:
-        """One intra-partition search through prepare/execute + PlanCache."""
+               max_results: Optional[int], seed=None,
+               cache: bool = True) -> EmbeddingResult:
+        """One intra-partition search through prepare/execute + PlanCache.
+
+        ``cache=False``, an algorithm without a prepare stage, a compile
+        that outran the timeout and a replication tick racing the execute
+        all take the one-shot path against the live replica.
+        """
         faults.fire("cluster.partition-search")
         if not self.replica.available:
             raise PartitionUnavailable(
@@ -172,32 +178,20 @@ class PartitionWorker:
             query, self.network, constraint=constraint,
             node_constraint=node_constraint, timeout=timeout,
             max_results=max_results)
-        if not algorithm.supports_prepare:
-            return algorithm.request(request)
-        key = (f"{self._cache_scope}:{self.name}",
-               self.network.mutation_count,
-               algorithm.plan_signature(), request.fingerprint())
-        plan = self.plans.get(key)
-        if plan is None:
-            refresh_mode = None
+        if cache and algorithm.supports_prepare:
+            key = (f"{self._cache_scope}:{self.name}",
+                   self.network.mutation_count,
+                   algorithm.plan_signature(), request.fingerprint())
             with self._lock:
-                predecessor = self.plans.pop_predecessor(key)
-                if predecessor is not None:
-                    refresh_mode = "recompiled"
-                    if predecessor.request.hosting is request.hosting:
-                        patched = predecessor.try_patch()
-                        if patched is not None and not patched.stale:
-                            self.plans.put(key, patched, refresh_mode="patched")
-                            plan = patched
-                if plan is None:
-                    plan = algorithm.prepare(request)
-                    self.plans.put(key, plan, refresh_mode=refresh_mode)
-        try:
-            return plan.execute(budget=request.budget, rng=seed)
-        except PlanInvalidatedError:
-            # Raced a replication tick between fetch and execute; degrade to
-            # the one-shot path against the live replica.
-            return algorithm.request(request)
+                plan = self.plans.acquire(
+                    key, algorithm, request,
+                    deadline=Deadline(request.budget.timeout))
+            if plan is not None:
+                try:
+                    return plan.execute(budget=request.budget, rng=seed)
+                except PlanInvalidatedError:
+                    pass
+        return algorithm.request(request)
 
 
 def split_query(query: QueryNetwork, num_fragments: int
@@ -479,26 +473,28 @@ class ClusterCoordinator:
         survivors.sort(key=lambda p: (-self.summaries[p].num_nodes, p))
         return survivors, len(self.workers) - len(survivors)
 
-    def _resolve_algorithm(self, algorithm) -> EmbeddingAlgorithm:
-        if algorithm is None or (isinstance(algorithm, str)
-                                 and algorithm.lower() in ("auto", "")):
-            return self.algorithm
-        if isinstance(algorithm, EmbeddingAlgorithm):
-            return algorithm
-        from repro.api.registry import default_registry
-        return default_registry().get(algorithm).create()
-
     def embed(self, query: QueryNetwork, constraint=None, node_constraint=None,
               timeout: Optional[float] = None, max_results: Optional[int] = 1,
-              algorithm=None, seed=None,
+              algorithm: Optional[EmbeddingAlgorithm] = None, seed=None,
               partition_order: Optional[Sequence[str]] = None,
               cross_partition: bool = True, max_fragments: int = 3,
               per_fragment_results: int = 6,
-              stitch_limit: int = 96) -> ClusterResult:
-        """Answer one embedding request with the two-level search."""
+              stitch_limit: int = 96, cache: bool = True) -> ClusterResult:
+        """Answer one embedding request with the two-level search.
+
+        *algorithm* is an instance (``None`` = the coordinator's default);
+        names are resolved by the service, against its own registry.
+        ``cache=False`` keeps every partition search off the plan cache.
+        """
         stopwatch = Stopwatch().start()
         deadline = Deadline(timeout)
-        algo = self._resolve_algorithm(algorithm)
+        algo = algorithm if algorithm is not None else self.algorithm
+
+        def search(worker, part, timeout, max_results) -> EmbeddingResult:
+            return worker.search(part, algo, constraint, node_constraint,
+                                 timeout=timeout, max_results=max_results,
+                                 seed=seed, cache=cache)
+
         relaxed = self._relaxation_active(constraint, query)
         expr = coerce_constraint(constraint, default_true=False)
         node_expr = coerce_constraint(node_constraint, default_true=False)
@@ -544,10 +540,8 @@ class ClusterCoordinator:
                 break
             worker = self.workers[name]
             try:
-                result = worker.search(
-                    query, algo, constraint, node_constraint,
-                    timeout=_remaining(deadline, timeout),
-                    max_results=max_results, seed=seed)
+                result = search(worker, query, _remaining(deadline, timeout),
+                                max_results)
             except ConnectionError:
                 worker.replica.available = False
                 outcomes.append(PartitionOutcome(name, "lost", lost=True))
@@ -581,9 +575,8 @@ class ClusterCoordinator:
         if (cross_partition and query.num_nodes >= 2 and len(self.workers) >= 2
                 and not deadline.expired() and (not relaxed or crossable)):
             found = self._embed_cross_partition(
-                query, expr, node_expr, constraint, node_constraint, algo,
-                seed, deadline, relaxed, max_fragments, per_fragment_results,
-                stitch_limit, outcomes)
+                query, expr, node_expr, search, deadline, relaxed,
+                max_fragments, per_fragment_results, stitch_limit, outcomes)
             coarse_tried, stitch_checks = found[1], found[2]
             if found[0] is not None:
                 mapping, assignment = found[0]
@@ -615,9 +608,8 @@ class ClusterCoordinator:
 
     # ------------------------------------------------------------------ #
 
-    def _embed_cross_partition(self, query, expr, node_expr, constraint,
-                               node_constraint, algo, seed, deadline, relaxed,
-                               max_fragments, per_fragment_results,
+    def _embed_cross_partition(self, query, expr, node_expr, search, deadline,
+                               relaxed, max_fragments, per_fragment_results,
                                stitch_limit, outcomes):
         """Split along query cuts, place coarsely, embed per shard, stitch.
 
@@ -645,8 +637,7 @@ class ClusterCoordinator:
                 coarse_tried += 1
                 stitched = self._stitch(query, fragments, frag_nodes,
                                         frag_cuts, placement, expr, node_expr,
-                                        constraint, node_constraint, algo,
-                                        seed, deadline, per_fragment_results,
+                                        search, deadline, per_fragment_results,
                                         stitch_limit, outcomes)
                 checks += stitched[1]
                 if stitched[0] is not None:
@@ -685,8 +676,8 @@ class ClusterCoordinator:
         return coarse, frag_of, frag_cuts
 
     def _stitch(self, query, fragments, frag_of, frag_cuts, placement, expr,
-                node_expr, constraint, node_constraint, algo, seed, deadline,
-                per_fragment_results, stitch_limit, outcomes):
+                node_expr, search, deadline, per_fragment_results,
+                stitch_limit, outcomes):
         """Embed each fragment in its assigned partition, then join them.
 
         Every combination of per-fragment embeddings (bounded by
@@ -701,10 +692,9 @@ class ClusterCoordinator:
             worker = self.workers[partition]
             fragment_query = query.subnetwork(nodes, name=f"{query.name}:f{i}")
             try:
-                result = worker.search(
-                    fragment_query, algo, constraint, node_constraint,
-                    timeout=_remaining(deadline, None),
-                    max_results=per_fragment_results, seed=seed)
+                result = search(worker, fragment_query,
+                                _remaining(deadline, None),
+                                per_fragment_results)
             except ConnectionError:
                 worker.replica.available = False
                 outcomes.append(PartitionOutcome(partition, "lost", lost=True))

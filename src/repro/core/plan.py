@@ -23,6 +23,9 @@ raises :class:`PlanInvalidatedError`; :meth:`EmbeddingPlan.refresh` recompiles.
 :class:`PlanCache` is the bounded LRU the service routes its traffic through,
 keyed by (network name, model version, algorithm signature, request
 fingerprint) with hit/miss/eviction statistics per cache and per entry.
+:meth:`PlanCache.acquire` is the one place the miss policy (patch the plan a
+monitor tick stranded, else compile under the request's deadline) is
+decided; the service and every cluster partition worker go through it.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from repro.core.indexing import NodeIndexer
 from repro.core.kernel import KernelPlan, active_backend
 from repro.core.mapping import Mapping
 from repro.core.result import EmbeddingResult
+from repro.utils.timing import Deadline, TimeoutExpired
 
 NodeId = Hashable
 
@@ -442,13 +446,57 @@ class PlanCache:
                     self._entries.popitem(last=False)
                     self._evictions += 1
 
+    def acquire(self, key: PlanKey, algorithm, request: SearchRequest,
+                deadline: Optional[Deadline] = None
+                ) -> Optional[EmbeddingPlan]:
+        """The cached plan for *key*, or one brought up to date and cached.
+
+        On a miss caused by model churn (a monitor tick bumped the version,
+        stranding the previous plan under the old key), the superseded plan
+        is pulled back via :meth:`pop_predecessor` and offered to the
+        incremental patch path first: an attribute-only delta is replayed
+        onto the compiled artifacts instead of recompiling them (counted as
+        ``patched``, else ``recompiled``).  A predecessor compiled from a
+        *replaced* network object (a re-register) is never patched — its
+        artifacts describe the old infrastructure.
+
+        Otherwise *algorithm* (which must support prepare) compiles
+        *request*.  If *deadline* expires first, ``None`` is returned and
+        nothing is cached: the caller falls back to the one-shot
+        ``request()`` path, which re-runs under a fresh deadline and
+        classifies the timeout properly (worst case one request costs two
+        timeout budgets, never unbounded).  ``deadline=None`` (explicit
+        cache warming) compiles to completion.
+
+        Two racing callers may both miss and compile the same plan; the
+        second ``put`` replaces the first — both are valid for the key.
+        """
+        plan = self.get(key)
+        if plan is not None:
+            return plan
+        refresh_mode = None
+        predecessor = self.pop_predecessor(key)
+        if predecessor is not None:
+            refresh_mode = "recompiled"
+            if predecessor.request.hosting is request.hosting:
+                patched = predecessor.try_patch()
+                if patched is not None and not patched.stale:
+                    self.put(key, patched, refresh_mode="patched")
+                    return patched
+        try:
+            plan = algorithm.prepare(request, deadline=deadline)
+        except TimeoutExpired:
+            return None
+        self.put(key, plan, refresh_mode=refresh_mode)
+        return plan
+
     def pop_predecessor(self, key: PlanKey) -> Optional[EmbeddingPlan]:
         """Remove and return a superseded-version plan for *key*'s traffic.
 
         A predecessor shares *key*'s network name, algorithm signature and
         request fingerprint but was compiled against a different model
         version — exactly the entry a monitor tick stranded.  The caller
-        (the service's miss path) decides whether it can be patched onto the
+        (:meth:`acquire`) decides whether it can be patched onto the
         live model or must be recompiled; either way it is removed here so a
         failed patch cannot be retried forever.  ``None`` when no such entry
         exists.  Requires the canonical 4-tuple key shape.

@@ -1,7 +1,8 @@
 """The serving tier's composition root.
 
-Everything the server needs — the :class:`NetEmbedService` facade (which
-itself owns the model registry, plan cache and reservation ledger), the
+Everything the server needs — the
+:class:`~repro.service.base.EmbeddingService` it fronts (either engine; it
+owns the model registry, plan cache and reservation ledger), the
 admission controller, the shared cost model and the clock — is wired here
 *explicitly*, in one place, with every collaborator injectable.  There are
 no module-level singletons: tests build a :class:`ServiceRegistry` around a
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.server.admission import AdmissionConfig, AdmissionController, CostModel
+from repro.service.base import EmbeddingService
 from repro.service.netembed import NetEmbedService
 
 
@@ -57,9 +59,10 @@ class ServiceRegistry:
     config:
         Knobs used for every component built here (``None`` = defaults).
     service:
-        An existing :class:`NetEmbedService` to serve (``None`` = build a
-        fresh one from *config*).  Injecting one lets tests pre-register
-        networks, monitors and reservations before a server ever starts.
+        An existing :class:`~repro.service.base.EmbeddingService` to serve
+        (``None`` = build a fresh :class:`NetEmbedService` from *config*).
+        Injecting one lets tests pre-register networks, monitors and
+        reservations before a server ever starts.
     cost_model:
         The execution-cost estimator shared between the admission
         controller (deadline shedding) and anything else that wants it;
@@ -72,15 +75,16 @@ class ServiceRegistry:
     """
 
     def __init__(self, config: Optional[ServerConfig] = None,
-                 service: Optional[NetEmbedService] = None,
+                 service: Optional[EmbeddingService] = None,
                  cost_model: Optional[CostModel] = None,
                  admission: Optional[AdmissionController] = None,
                  clock=time.monotonic) -> None:
         self.config = config if config is not None else ServerConfig()
         self.clock = clock
-        self.service = service if service is not None else NetEmbedService(
-            default_timeout=self.config.default_timeout,
-            plan_cache_size=self.config.plan_cache_size)
+        self.service: EmbeddingService = (
+            service if service is not None else NetEmbedService(
+                default_timeout=self.config.default_timeout,
+                plan_cache_size=self.config.plan_cache_size))
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.admission = admission if admission is not None else (
             AdmissionController(self.config.admission,

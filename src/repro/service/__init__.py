@@ -2,7 +2,10 @@
 
 Components:
 
-* :class:`NetEmbedService` — the facade applications talk to;
+* :class:`EmbeddingService` — the service shell (registry, monitors, ledger,
+  request lifecycle) every mapping engine sits behind;
+* :class:`NetEmbedService` — the facade applications talk to (that shell
+  over the monolithic engine);
 * :class:`NetworkModelRegistry` — named hosting-network models;
 * :class:`SimulatedMonitor` — a stand-in for the monitoring infrastructure;
 * :class:`ReservationManager` — optional capacity reservations over accepted
@@ -12,6 +15,7 @@ Components:
 """
 
 from repro.api.selection import FixedSelectionPolicy, PaperSelectionPolicy, SelectionPolicy
+from repro.service.base import EmbeddingService
 from repro.service.model import ModelEntry, NetworkModelRegistry, UnknownNetworkError
 from repro.service.monitor import UP_ATTR, MonitorConfig, SimulatedMonitor
 from repro.service.netembed import NetEmbedService
@@ -26,6 +30,7 @@ from repro.service.session import NegotiationOutcome, NegotiationRound, Negotiat
 from repro.service.spec import EmbeddingResponse, QuerySpec, RepairResponse
 
 __all__ = [
+    "EmbeddingService",
     "NetEmbedService",
     "SelectionPolicy",
     "PaperSelectionPolicy",

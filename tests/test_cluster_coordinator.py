@@ -10,7 +10,6 @@ from repro.cluster import ClusterCoordinator, ClusterService, split_query
 from repro.core.ecf import ECF
 from repro.core.mapping import validate_mapping
 from repro.api.request import SearchRequest
-from repro.graphs.query import QueryNetwork
 from repro.service import QuerySpec
 from repro.workloads import (
     DELAY_WINDOW_CONSTRAINT,
@@ -196,6 +195,65 @@ class TestReplicationRefresh:
         assert report["mode"] in ("structural-resync", "overflow-resync")
         assert victim not in coordinator.partition_map.assignment
         assert coordinator.partition_map.partition_of("fresh-site") == "asia"
+
+
+class _SpyECF(ECF):
+    """ECF that records the deadline each prepare was given."""
+
+    def __init__(self):
+        super().__init__()
+        self.deadlines = []
+
+    def prepare(self, request, deadline=None):
+        self.deadlines.append(deadline)
+        return super().prepare(request, deadline=deadline)
+
+
+class TestPartitionWorkerPlanPath:
+    @pytest.fixture
+    def worker_and_workload(self, hosting):
+        # A private coordinator: these tests count plan-cache entries.
+        coordinator = ClusterCoordinator(hosting, attribute="region")
+        largest = max(coordinator.partition_map.names,
+                      key=lambda p: len(coordinator.partition_map.nodes_of(p)))
+        worker = coordinator.workers[largest]
+        return worker, subgraph_query(worker.network, 4, rng=3)
+
+    def test_cold_compile_runs_under_the_requests_timeout(
+            self, worker_and_workload):
+        worker, workload = worker_and_workload
+        spy = _SpyECF()
+        result = worker.search(workload.query, spy, workload.constraint, None,
+                               timeout=5.0, max_results=1)
+        assert result.found
+        (deadline,) = spy.deadlines
+        assert deadline is not None and deadline.seconds == 5.0
+        assert worker.plans.stats()["size"] == 1
+
+    def test_expired_compile_times_out_and_caches_nothing(
+            self, worker_and_workload):
+        worker, workload = worker_and_workload
+        spy = _SpyECF()
+        result = worker.search(workload.query, spy, workload.constraint, None,
+                               timeout=1e-9, max_results=1)
+        assert result.timed_out and not result.found
+        (deadline,) = spy.deadlines     # the one-shot path does not prepare()
+        assert deadline.expired()
+        stats = worker.plans.stats()
+        assert (stats["size"], stats["misses"]) == (0, 1)
+
+    def test_cache_false_is_the_one_shot_path(self, worker_and_workload):
+        worker, workload = worker_and_workload
+        spy = _SpyECF()
+        cached = worker.search(workload.query, spy, workload.constraint, None,
+                               timeout=5.0, max_results=3)
+        before = worker.plans.stats()
+        uncached = worker.search(workload.query, spy, workload.constraint,
+                                 None, timeout=5.0, max_results=3,
+                                 cache=False)
+        assert uncached.mappings == cached.mappings
+        assert len(spy.deadlines) == 1
+        assert worker.plans.stats() == before
 
 
 class TestClusterService:

@@ -17,6 +17,7 @@ from repro.api import Budget, SearchRequest
 from repro.core import ECF, PlanCache
 from repro.graphs.query import QueryNetwork
 from repro.service import NetEmbedService, NetworkModelRegistry, QuerySpec
+from repro.utils.timing import Deadline
 
 WINDOW = "rEdge.avgDelay >= vEdge.minDelay && rEdge.avgDelay <= vEdge.maxDelay"
 
@@ -166,6 +167,81 @@ class TestPlanCache:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             PlanCache(capacity=0)
+
+
+# --------------------------------------------------------------------------- #
+# PlanCache.acquire: the one hit / patch / compile policy
+# --------------------------------------------------------------------------- #
+
+class TestAcquire:
+    def _key(self, request, version=0):
+        return ("net", version, ECF().plan_signature(), request.fingerprint())
+
+    def _request(self, hosting, query):
+        return SearchRequest.build(query, hosting, constraint=WINDOW)
+
+    def test_cold_miss_compiles_and_caches_then_hits(self, small_hosting,
+                                                     path_query):
+        cache = PlanCache(capacity=4)
+        request = self._request(small_hosting, path_query)
+        plan = cache.acquire(self._key(request), ECF(), request)
+        assert plan is not None and not plan.stale
+        stats = cache.stats()
+        assert (stats["size"], stats["hits"], stats["misses"]) == (1, 0, 1)
+        assert stats["patched"] == stats["recompiled"] == 0
+
+        assert cache.acquire(self._key(request), ECF(), request) is plan
+        stats = cache.stats()
+        assert (stats["size"], stats["hits"], stats["misses"]) == (1, 1, 1)
+        assert stats["patched"] == stats["recompiled"] == 0
+
+    def test_attr_only_predecessor_is_patched(self, small_hosting, path_query):
+        cache = PlanCache(capacity=4)
+        request = self._request(small_hosting, path_query)
+        old = cache.acquire(self._key(request, 0), ECF(), request)
+        small_hosting.update_edge("a", "b", avgDelay=12.0)   # a monitor tick
+        plan = cache.acquire(self._key(request, 1), ECF(), request)
+        assert plan is not old and not plan.stale
+        assert plan.refresh_mode == "patched"
+        assert (plan.execute().mappings
+                == ECF().request(request).mappings)
+        stats = cache.stats()
+        assert (stats["patched"], stats["recompiled"]) == (1, 0)
+        assert (stats["size"], stats["hits"], stats["misses"]) == (1, 0, 2)
+
+    def test_predecessor_from_a_replaced_network_is_recompiled(
+            self, small_hosting, path_query):
+        cache = PlanCache(capacity=4)
+        request = self._request(small_hosting, path_query)
+        cache.acquire(self._key(request, 0), ECF(), request)
+        replacement = small_hosting.copy()          # a re-register
+        replaced = self._request(replacement, path_query)
+        assert replaced.fingerprint() == request.fingerprint()
+        plan = cache.acquire(self._key(replaced, 1), ECF(), replaced)
+        assert plan.request.hosting is replacement
+        assert plan.refresh_mode is None            # compiled, never patched
+        stats = cache.stats()
+        assert (stats["patched"], stats["recompiled"]) == (0, 1)
+        assert (stats["size"], stats["hits"], stats["misses"]) == (1, 0, 2)
+
+    def test_expired_deadline_returns_none_and_caches_nothing(
+            self, small_hosting, path_query, triangle_query):
+        cache = PlanCache(capacity=4)
+        warm = self._request(small_hosting, triangle_query)
+        cache.acquire(self._key(warm), ECF(), warm)
+        before = cache.stats()
+        request = self._request(small_hosting, path_query)
+        plan = cache.acquire(self._key(request), ECF(), request,
+                             deadline=Deadline(-1.0))
+        assert plan is None
+        after = cache.stats()
+        assert after["size"] == before["size"] == 1
+        assert after["misses"] == before["misses"] + 1
+        assert (after["hits"], after["patched"], after["recompiled"]) == (
+            before["hits"], 0, 0)
+        # A hit needs no compile, so an expired deadline cannot refuse it.
+        assert cache.acquire(self._key(warm), ECF(), warm,
+                             deadline=Deadline(-1.0)) is not None
 
 
 # --------------------------------------------------------------------------- #
