@@ -79,7 +79,12 @@ class CellBlock:
     plus the index — a host with no candidate stores no row.  ``count`` is
     the number of set bits, taken from the verdict row while packing.
 
-    Blocks are immutable by convention: a patch packs new ones.
+    Blocks are immutable by convention: a patch packs new ones.  That is
+    what lets a symmetric query pair store *one* block under both of its
+    keys (:func:`_pack_pairs`; pickle's memo keeps it one object), and
+    lets the interpreted kernel decode a row only when a walk first reads it
+    (:meth:`mask_of`) — :meth:`items` decodes every row and is for the
+    dict-shaped test views.
     """
 
     __slots__ = ("hosts", "words", "count")
@@ -135,7 +140,8 @@ class FilterMatrices:
     host_indexer: NodeIndexer = field(default_factory=NodeIndexer)
     #: F: directed query pair -> its packed cells.  Holds both directions of
     #: every constrained query pair (``ab`` then ``ba``, in query pair
-    #: order), with an empty block for a pair nothing matched.
+    #: order; the same object twice when the pair is symmetric), with an
+    #: empty block for a pair nothing matched.
     blocks: Dict[BlockKey, CellBlock] = field(default_factory=dict)
     #: The hosting network's oriented-arc adjacency as a block (shared with
     #: the :class:`HostingCompile`), present iff non-matches are recorded:
@@ -707,7 +713,7 @@ def build_filters(query: QueryNetwork, hosting: HostingNetwork,
     verdicts, evaluations = _pair_verdicts(
         query, constraint, _pair_edges(query), compiled, allowed_masks,
         deadline)
-    blocks = _pack_pairs(verdicts, compiled)
+    blocks = _pack_pairs(query, constraint, verdicts, compiled, allowed_masks)
     filters = FilterMatrices(
         host_indexer=indexer,
         blocks=blocks,
@@ -1116,6 +1122,24 @@ class LazyEdgeVerdicts:
 # Verdict rows -> packed blocks (the one producer)
 # --------------------------------------------------------------------------- #
 
+def _pack_band(cells, verdict, padded: int, start: int, stop: int,
+               base: Optional[CellBlock]):
+    """``(rows, words, dense)`` for the placed hosts ``[start, stop)``: the
+    band's non-empty rows, their packed words and the dense boolean they
+    were packed from.  *cells* and *verdict* are already restricted to the
+    band, and *cells* — like the returned *rows* — count from its first
+    row."""
+    dense = np.zeros((stop - start, padded), dtype=bool)
+    if base is not None:
+        lo, hi = np.searchsorted(base.hosts, (start, stop))
+        dense[base.hosts[lo:hi] - start] = np.unpackbits(
+            base.words[lo:hi].view(np.uint8), axis=1, bitorder="little")
+    dense.reshape(-1)[cells] = verdict
+    packed = np.packbits(dense, axis=1, bitorder="little").view("<u8")
+    kept = np.flatnonzero(packed.any(axis=1))
+    return kept, packed[kept], dense
+
+
 def _pack_cells(cells, verdict, num_hosts: int,
                 base: Optional[CellBlock] = None) -> CellBlock:
     """Pack boolean verdicts into one directed pair's :class:`CellBlock`.
@@ -1130,51 +1154,80 @@ def _pack_cells(cells, verdict, num_hosts: int,
     array-equal to the rebuilt one by construction.
 
     Placed hosts are processed in bands of at most ``_MAX_DENSE_CELLS``
-    cells, which bounds the transient boolean on large hosts (one band on
-    anything below ~8000 nodes).
+    cells, which bounds the transient boolean on large hosts; anything below
+    ~8000 nodes is one band, whose rows are the block as they stand.
     """
     num_words = word_count(num_hosts)
     padded = num_words * WORD_BITS
     band = max(1, _MAX_DENSE_CELLS // padded)
-    host_parts = [np.zeros(0, dtype=np.int64)]
-    word_parts = [np.zeros((0, num_words), dtype="<u8")]
+    if band >= num_hosts:
+        hosts, words, dense = _pack_band(cells, verdict, padded, 0, num_hosts,
+                                         base)
+        # A build's arc rows address distinct cells, so its set bits are its
+        # true verdicts; a patch writes over bits the base carried in.
+        return CellBlock(hosts, words,
+                         np.count_nonzero(verdict if base is None else dense))
+    host_parts = []
+    word_parts = []
     count = 0
     for start in range(0, num_hosts, band):
         stop = min(start + band, num_hosts)
-        dense = np.zeros((stop - start, padded), dtype=bool)
-        if base is not None:
-            lo, hi = np.searchsorted(base.hosts, (start, stop))
-            dense[base.hosts[lo:hi] - start] = np.unpackbits(
-                base.words[lo:hi].view(np.uint8), axis=1, bitorder="little")
-        if band >= num_hosts:
-            dense.reshape(-1)[cells] = verdict
-        else:
-            inside = (cells >= start * padded) & (cells < stop * padded)
-            dense.reshape(-1)[cells[inside] - start * padded] = verdict[inside]
-        packed = np.packbits(dense, axis=1, bitorder="little").view("<u8")
-        kept = np.flatnonzero(packed.any(axis=1))
+        inside = (cells >= start * padded) & (cells < stop * padded)
+        kept, words, dense = _pack_band(cells[inside] - start * padded,
+                                        verdict[inside], padded, start, stop,
+                                        base)
         host_parts.append(kept + start)
-        word_parts.append(packed[kept])
+        word_parts.append(words)
         count += int(np.count_nonzero(dense))
     return CellBlock(np.concatenate(host_parts), np.concatenate(word_parts),
                      count)
 
 
-def _pack_pairs(verdicts, compiled: HostingCompile, rows=None,
-                base: Optional[Dict[BlockKey, CellBlock]] = None
+def _mirrors_hosting_arcs(query: QueryNetwork, constraint,
+                          hosting: HostingNetwork) -> bool:
+    """Whether arc row ``(ra, rb)`` and its mirror ``(rb, ra)`` get the same
+    edge verdict for every query pair: on an undirected hosting network the
+    two rows read one ``rEdge`` dict, and the (single, undirected) query
+    edge of a pair reads nothing but ``rEdge`` / ``vEdge``.  A directed
+    side, an ``rSource`` / ``vTarget`` read or a constraint the vectorizer
+    declines answers ``False``."""
+    if query.directed or hosting.directed:
+        return False
+    plan = _vector_plan(constraint)
+    return plan is not None and all(obj in ("rEdge", "vEdge")
+                                    for obj, _attr in plan[1])
+
+
+def _pack_pairs(query: QueryNetwork, constraint, verdicts,
+                compiled: HostingCompile, allowed_masks: Dict[NodeId, int],
+                rows=None, base: Optional[Dict[BlockKey, CellBlock]] = None
                 ) -> Dict[BlockKey, CellBlock]:
     """Both directions' blocks of every query pair, in canonical order
     (query pair order, ``ab`` before ``ba``).  A patch passes the *rows* its
-    verdicts cover and the *base* blocks they are written over."""
+    verdicts cover and the *base* blocks they are written over.
+
+    A *symmetric* pair packs once and stores the one block under both keys:
+    when mirrored arc rows get the same edge verdict
+    (:func:`_mirrors_hosting_arcs`) and the pair's endpoints are screened
+    alike, ``F(qa -> qb)`` is its own transpose ``F(qb -> qa)``.  A patch
+    keeps the property — the rows of a touched node or edge come in mirrored
+    couples (:meth:`HostingCompile.rows_for`) — whatever its base held.
+    """
     cell_ab, cell_ba = compiled.cell_addresses()
     if rows is not None:
         cell_ab, cell_ba = cell_ab[rows], cell_ba[rows]
     num_hosts = compiled.num_hosts
+    mirrored = _mirrors_hosting_arcs(query, constraint, compiled.hosting)
     blocks: Dict[BlockKey, CellBlock] = {}
     for (qa, qb), verdict in verdicts.items():
-        for key, cells in (((qa, qb), cell_ab), ((qb, qa), cell_ba)):
-            blocks[key] = _pack_cells(cells, verdict, num_hosts,
-                                      None if base is None else base[key])
+        packed = blocks[(qa, qb)] = _pack_cells(
+            cell_ab, verdict, num_hosts,
+            None if base is None else base[(qa, qb)])
+        if not (mirrored
+                and allowed_masks.get(qa, 0) == allowed_masks.get(qb, 0)):
+            packed = _pack_cells(cell_ba, verdict, num_hosts,
+                                 None if base is None else base[(qb, qa)])
+        blocks[(qb, qa)] = packed
     return blocks
 
 
@@ -1358,7 +1411,8 @@ def patch_filters(filters: FilterMatrices, query: QueryNetwork,
     verdicts, evaluations = _pair_verdicts(
         query, constraint, _pair_edges(query), compiled, allowed_masks,
         deadline, rows=rows)
-    blocks = _pack_pairs(verdicts, compiled, rows=rows, base=filters.blocks)
+    blocks = _pack_pairs(query, constraint, verdicts, compiled, allowed_masks,
+                         rows=rows, base=filters.blocks)
     patched = FilterMatrices(
         host_indexer=indexer,
         blocks=blocks,

@@ -4,9 +4,10 @@ ECF's explicit-stack depth-first expansion and RWB's candidate algebra run
 here, over a :class:`KernelPlan` — the search-ready view of one
 ``(filters, order, prior)`` triple — on one of two backends:
 
-* ``python`` — a chunked pure-Python driver over int masks, reading dense
-  per-slot cell tables decoded from the filters' packed blocks — only the
-  one direction of each query edge the visiting order uses.  Always
+* ``python`` — a chunked pure-Python driver over int masks, reading
+  per-slot cell tables that decode a mask from the filters' packed blocks
+  the first time a walk reads it — only the one direction of each query
+  edge the visiting order uses, only the hosts the search places.  Always
   available.
 * ``numba`` — the same algorithm transliterated to ``numba.njit`` over the
   blocks' fixed-width ``uint64`` words themselves (:mod:`repro.core.words`),
@@ -210,15 +211,38 @@ def describe() -> Dict[str, object]:
 # Kernel plans: the search-ready view of one (filters, order) pair
 # ---------------------------------------------------------------------- #
 
+class _SlotCells(dict):
+    """One slot's ``host index -> int mask`` table, decoded on first read.
+
+    A miss decodes the host's row of the slot's block
+    (:meth:`~repro.core.filters.CellBlock.mask_of`; an absent block or row
+    is the zero mask, which prunes the branch like any other empty
+    intersection) and keeps it, so the table only ever holds the hosts a
+    walk placed the slot's neighbour on.  Filling is idempotent: thread
+    shards racing on one miss store the same int.
+    """
+
+    __slots__ = ("block",)
+
+    def __init__(self, block) -> None:
+        self.block = block
+
+    def __missing__(self, host: int) -> int:
+        block = self.block
+        mask = self[host] = 0 if block is None else block.mask_of(host)
+        return mask
+
+
 class KernelPlan:
     """The search-ready view of one ``(filters, order, prior)`` triple.
 
     Every depth gets one *slot* per prior neighbour, and a slot reads the
     one direction of that query edge the visiting order uses — the filters'
     packed :class:`~repro.core.filters.CellBlock` for ``(neighbour, node)``.
-    The python backend expands each slot's block into a dense ``host index
-    -> int mask`` list (an empty cell is a zero mask, which prunes the
-    branch like any other empty intersection); the numba backend stacks the
+    The python backend reads a slot through a :class:`_SlotCells` table that
+    decodes ``host index -> int mask`` from the block on first read, so
+    building a plan costs O(slots) and a held plan fills in only the
+    ``(slot, host)`` pairs its searches reach; the numba backend stacks the
     same blocks into one word array with a ``host index -> row`` table per
     slot (``-1`` = empty cell).
 
@@ -231,8 +255,7 @@ class KernelPlan:
     """
 
     __slots__ = ("order", "prior", "indexer", "host_nodes", "depth_of", "n",
-                 "num_hosts", "node_ints", "cell_tables", "_slot_blocks",
-                 "_words")
+                 "num_hosts", "node_ints", "cell_tables", "_words")
 
     def __init__(self, filters, order: Sequence, prior: Sequence) -> None:
         self.order = tuple(order)
@@ -246,25 +269,13 @@ class KernelPlan:
         self.node_ints: List[int] = [node_masks.get(node, 0)
                                      for node in self.order]
         blocks = filters.blocks
-        slot_blocks = []
-        tables = []
-        for depth, node in enumerate(self.order):
-            neighbors = self.prior[depth]
-            if not neighbors:
-                tables.append(None)
-                continue
-            slots = []
-            for neighbor in neighbors:
-                block = blocks.get((neighbor, node))
-                cells = [0] * self.num_hosts
-                if block is not None:
-                    for host, mask in block.items():
-                        cells[host] = mask
-                slot_blocks.append(block)
-                slots.append((self.depth_of[neighbor], cells))
-            tables.append(tuple(slots))
-        self.cell_tables = tuple(tables)
-        self._slot_blocks = slot_blocks
+        #: Per depth, ``None`` (no prior neighbour) or one ``(neighbour's
+        #: depth, cells)`` slot per prior neighbour.
+        self.cell_tables = tuple(
+            tuple((self.depth_of[neighbor],
+                   _SlotCells(blocks.get((neighbor, node))))
+                  for neighbor in neighbors) if neighbors else None
+            for node, neighbors in zip(self.order, self.prior))
         self._words = None
 
     def words(self):
@@ -278,29 +289,28 @@ class KernelPlan:
         cached = self._words
         if cached is None:
             nw = word_count(self.num_hosts)
-            width = max(1, self.num_hosts)
-            slot_rows = np.full((len(self._slot_blocks), width), -1,
+            slots = [slot for depth_slots in self.cell_tables
+                     for slot in depth_slots or ()]
+            slot_rows = np.full((len(slots), max(1, self.num_hosts)), -1,
                                 dtype=np.int64)
             stacked = [np.zeros((0, nw), dtype=np.uint64)]
             offset = 0
-            for slot, block in enumerate(self._slot_blocks):
+            for slot, (_nb_depth, cells) in enumerate(slots):
+                block = cells.block
                 if block is None:
                     continue
                 rows = len(block.hosts)
                 slot_rows[slot, block.hosts] = np.arange(offset, offset + rows)
                 stacked.append(block.words)
                 offset += rows
-            offsets = [0]
-            slot_depth: List[int] = []
-            for slots in self.cell_tables:
-                if slots:
-                    slot_depth.extend(nb_depth for nb_depth, _cells in slots)
-                offsets.append(len(slot_depth))
+            offsets = np.cumsum([0] + [len(depth_slots or ())
+                                       for depth_slots in self.cell_tables])
             cached = (np.ascontiguousarray(np.concatenate(stacked),
                                            dtype=np.uint64),
                       pack_masks(self.node_ints, nw),
                       np.asarray(offsets, dtype=np.int64),
-                      np.asarray(slot_depth, dtype=np.int64),
+                      np.asarray([nb_depth for nb_depth, _cells in slots],
+                                 dtype=np.int64),
                       slot_rows,
                       nw)
             self._words = cached

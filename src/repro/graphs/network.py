@@ -64,6 +64,12 @@ class Network:
         #: ``neighbors`` once per expansion step, and for directed graphs the
         #: uncached version built two sets and a union every time.
         self._adjacency: Dict[NodeId, List[NodeId]] = {}
+        #: Maximum degree and edge count, filled lazily by :meth:`max_degree`
+        #: / :attr:`num_edges` (networkx walks every node for either) and
+        #: dropped by the structural mutators only: the feasibility screen
+        #: reads both on every request, attribute churn moves neither.
+        self._max_degree: Optional[int] = None
+        self._num_edges: Optional[int] = None
         #: Monotonic mutation epoch, bumped by every mutator.  Compiled
         #: artifacts derived from this network (hosting compiles, embedding
         #: plans) record the epoch they were built at, so a staleness check
@@ -102,6 +108,7 @@ class Network:
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
         state["_adjacency"] = {}
+        state["_max_degree"] = state["_num_edges"] = None
         # The journal is history, not state: a deserialized copy (a shard
         # worker's network) must not claim to know deltas it never saw, so
         # it ships empty with its floor at the current epoch.
@@ -128,6 +135,7 @@ class Network:
         if node in self._graph:
             raise DuplicateNodeError(f"node {node!r} already exists in {self.name!r}")
         self._graph.add_node(node, **attrs)
+        self._max_degree = self._num_edges = None
         self._record_mutation(NODE_ADDED, (node,))
         return node
 
@@ -141,6 +149,7 @@ class Network:
         self._graph.add_edge(u, v, **attrs)
         self._adjacency.pop(u, None)
         self._adjacency.pop(v, None)
+        self._max_degree = self._num_edges = None
         self._record_mutation(EDGE_ADDED, (u, v))
         return (u, v)
 
@@ -165,6 +174,7 @@ class Network:
         self._graph.remove_node(node)
         # Every former neighbour's adjacency changed; drop the whole cache.
         self._adjacency.clear()
+        self._max_degree = self._num_edges = None
         self._record_mutation(NODE_REMOVED, (node,))
 
     def remove_edge(self, u: NodeId, v: NodeId) -> None:
@@ -174,6 +184,7 @@ class Network:
         self._graph.remove_edge(u, v)
         self._adjacency.pop(u, None)
         self._adjacency.pop(v, None)
+        self._max_degree = self._num_edges = None
         self._record_mutation(EDGE_REMOVED, (u, v))
 
     def _record_mutation(self, kind: str, subject: Tuple[NodeId, ...],
@@ -228,8 +239,10 @@ class Network:
 
     @property
     def num_edges(self) -> int:
-        """Number of edges."""
-        return self._graph.number_of_edges()
+        """Number of edges (memoised until the next structural mutation)."""
+        if self._num_edges is None:
+            self._num_edges = self._graph.number_of_edges()
+        return self._num_edges
 
     def nodes(self) -> List[NodeId]:
         """All node identifiers (list copy, stable iteration order)."""
@@ -304,6 +317,14 @@ class Network:
     def degree(self, node: NodeId) -> int:
         """Degree of *node* (total degree when directed)."""
         return int(self._graph.degree(node))
+
+    def max_degree(self) -> int:
+        """The largest :meth:`degree` of any node, 0 for an empty network
+        (memoised until the next structural mutation)."""
+        if self._max_degree is None:
+            self._max_degree = max(
+                (degree for _node, degree in self._graph.degree()), default=0)
+        return self._max_degree
 
     def adjacency(self) -> Dict[NodeId, List[NodeId]]:
         """Full adjacency mapping node -> neighbor list (undirected view)."""

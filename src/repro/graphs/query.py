@@ -108,8 +108,8 @@ class QueryNetwork(Network):
                 f"query has {self.num_edges} edges but the hosting network only "
                 f"has {hosting.num_edges}")
         if self.num_nodes > 0 and hosting.num_nodes > 0:
-            max_query_degree = max(self.degree(n) for n in self.nodes())
-            max_host_degree = max(hosting.degree(n) for n in hosting.nodes())
+            max_query_degree = self.max_degree()
+            max_host_degree = hosting.max_degree()
             if max_query_degree > max_host_degree:
                 reasons.append(
                     f"query has a node of degree {max_query_degree} but the maximum "

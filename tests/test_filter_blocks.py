@@ -10,6 +10,9 @@ suite pins the properties that make a single store safe:
   the carried word tables of the two-representation engine), and the derived
   views agree with the set-semantics oracle in :mod:`repro.core.reference`;
 * the scalar evaluation pass ends in the same blocks as the batch kernel;
+* a query pair's two directions are one block object exactly when their
+  cells are provably each other's transpose, and either way equal the
+  oracle's;
 * the arrays handed to the numba kernel select the cells the int views hold;
 * blocks are row-compressed (a sparse host above the dense-cell guard stays
   within its byte bound);
@@ -49,7 +52,7 @@ from repro.core.reference import (
     ReferenceRWB,
     build_filters_reference,
 )
-from repro.core.words import mask_to_words
+from repro.core.words import mask_to_words, pack_masks
 from repro.graphs.hosting import HostingNetwork
 from repro.graphs.query import QueryNetwork
 
@@ -289,6 +292,183 @@ class TestScalarProducerParity:
                                 delta=hosting.delta_since(epoch),
                                 max_row_fraction=1.0)
         assert_blocks_equal(patched, build_filters(query, hosting, WINDOW, UP))
+
+
+# --------------------------------------------------------------------------- #
+# One block under both keys of a symmetric query pair
+# --------------------------------------------------------------------------- #
+
+#: WINDOW's verdicts wherever ``cpu >= 1`` (every host of a sharing scene),
+#: but the read of ``rSource`` makes a row and its mirror differ in principle.
+WINDOW_READING_SOURCE = ConstraintExpression(
+    WINDOW.source + " && rSource.cpu >= 1.0")
+#: Screens query nodes by their own ``need``: endpoints with different needs
+#: get different masks.
+NEED = ConstraintExpression("rNode.cpu >= vNode.need")
+
+EDGE_CONSTRAINTS = {
+    "window": WINDOW,
+    "trivial": ConstraintExpression.always_true(),
+    # Vectorizable expression over a non-numeric column: the scalar pass
+    # produces the verdicts, which read ``rEdge`` / ``vEdge`` all the same.
+    "label": WINDOW_READING_LABEL,
+    "source": WINDOW_READING_SOURCE,
+    # Outside the vectorizable fragment altogether.
+    "strict": ConstraintExpression(WINDOW.source, strict=True),
+}
+SYMMETRIC_CONSTRAINTS = {"window", "trivial", "label"}
+SCREENS = {"none": None, "up": UP, "need": NEED}
+
+
+def sharing_scene(seed: int, query_directed: bool, hosting_directed: bool):
+    """A small problem whose two sides are directed independently; every
+    attribute any constraint above reads is present (strict mode is safe)."""
+    rng = random.Random(seed)
+    num_hosts = rng.randint(4, 9)
+    hosting = HostingNetwork("hosting", directed=hosting_directed)
+    for i in range(num_hosts):
+        hosting.add_node(f"h{i}", up=rng.random() < 0.8, cpu=rng.randint(1, 4))
+    for i in range(num_hosts):
+        for j in range(i + 1, num_hosts):
+            if rng.random() < 0.6:
+                hosting.add_edge(f"h{i}", f"h{j}", label="core",
+                                 avgDelay=round(rng.uniform(5.0, 60.0), 3))
+            if hosting_directed and rng.random() < 0.4:
+                hosting.add_edge(f"h{j}", f"h{i}", label="core",
+                                 avgDelay=round(rng.uniform(5.0, 60.0), 3))
+    query = QueryNetwork("query", directed=query_directed)
+    num_query = rng.randint(2, 4)
+    for i in range(num_query):
+        query.add_node(f"q{i}", need=rng.randint(1, 3))
+    for i in range(1, num_query):
+        low = rng.uniform(0.0, 30.0)
+        query.add_edge(f"q{rng.randrange(i)}", f"q{i}",
+                       minDelay=round(low, 3),
+                       maxDelay=round(low + rng.uniform(5.0, 40.0), 3))
+    return query, hosting
+
+
+def query_pairs(filters):
+    """The ``(qa, qb)`` of every constrained pair (``ab`` precedes ``ba``)."""
+    return list(filters.blocks)[::2]
+
+
+def shared_pairs(filters):
+    return [filters.blocks[(qa, qb)] is filters.blocks[(qb, qa)]
+            for qa, qb in query_pairs(filters)]
+
+
+def assert_blocks_equal_reference(filters, reference) -> None:
+    """Every block, array for array, against the set-semantics oracle."""
+    indexer = filters.host_indexer
+    num_words = word_count(len(indexer))
+    for (placed, following), block in filters.blocks.items():
+        cells = {indexer.index_of(host): indexer.encode(hosts)
+                 for (q, host, nxt), hosts in reference.match.items()
+                 if (q, nxt) == (placed, following)}
+        hosts = sorted(cells)
+        assert np.array_equal(block.hosts, np.array(hosts, dtype=np.int64))
+        assert np.array_equal(
+            block.words, pack_masks([cells[host] for host in hosts], num_words))
+        assert block.count == sum(mask.bit_count() for mask in cells.values())
+
+
+class TestSymmetricPairsShareOneBlock:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 10_000), query_directed=st.booleans(),
+           hosting_directed=st.booleans(),
+           edge=st.sampled_from(sorted(EDGE_CONSTRAINTS)),
+           screen=st.sampled_from(sorted(SCREENS)))
+    def test_one_object_iff_the_cells_are_their_own_transpose(
+            self, seed, query_directed, hosting_directed, edge, screen):
+        query, hosting = sharing_scene(seed, query_directed, hosting_directed)
+        constraint, node_constraint = EDGE_CONSTRAINTS[edge], SCREENS[screen]
+        filters = build_filters(query, hosting, constraint, node_constraint)
+
+        symmetric = (not query_directed and not hosting_directed
+                     and edge in SYMMETRIC_CONSTRAINTS)
+        screens = filters.node_allowed_masks
+        assert shared_pairs(filters) == [
+            symmetric and screens[qa] == screens[qb]
+            for qa, qb in query_pairs(filters)]
+
+        reference = build_filters_reference(query, hosting, constraint,
+                                            node_constraint)
+        assert_blocks_equal_reference(filters, reference)
+        assert filters.entry_count == reference.entry_count
+        assert filters.cell_count == reference.cell_count
+        assert filters.constraint_evaluations == reference.constraint_evaluations
+
+        clone = pickle.loads(pickle.dumps(filters))
+        assert shared_pairs(clone) == shared_pairs(filters)
+        assert_blocks_equal(clone, filters)
+
+    @pytest.mark.parametrize("case", ["directed hosting", "directed query",
+                                      "reads rSource", "unequal screens",
+                                      "not vectorizable"])
+    def test_each_negative_case_packs_two_blocks(self, case):
+        """Beside a scene that shares, so none of the cases is vacuous."""
+        query, hosting = sharing_scene(3, False, False)
+        shared = build_filters(query, hosting, WINDOW, UP)
+        assert shared_pairs(shared) and all(shared_pairs(shared))
+
+        edge, node_constraint = WINDOW, UP
+        if case == "directed hosting":
+            query, hosting = sharing_scene(3, False, True)
+        elif case == "directed query":
+            query, hosting = sharing_scene(3, True, False)
+        elif case == "reads rSource":
+            edge = WINDOW_READING_SOURCE
+        elif case == "unequal screens":
+            node_constraint = NEED
+        else:
+            edge = EDGE_CONSTRAINTS["strict"]
+        filters = build_filters(query, hosting, edge, node_constraint)
+        split = [pair for pair, one in zip(query_pairs(filters),
+                                           shared_pairs(filters)) if not one]
+        assert split
+        if case == "unequal screens":
+            screens = filters.node_allowed_masks
+            assert all(screens[qa] != screens[qb] for qa, qb in split)
+        else:
+            assert split == query_pairs(filters)
+        for qa, qb in split:
+            assert not np.shares_memory(filters.blocks[(qa, qb)].words,
+                                        filters.blocks[(qb, qa)].words)
+        assert_blocks_equal_reference(filters, build_filters_reference(
+            query, hosting, edge, node_constraint))
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 10_000),
+           screen=st.sampled_from(sorted(SCREENS)),
+           churn_seed=st.integers(0, 10_000), rounds=st.integers(1, 3))
+    def test_patch_shares_exactly_what_a_rebuild_shares(
+            self, seed, screen, churn_seed, rounds):
+        """Attr-only churn, ``cpu`` included: under NEED a re-screened host
+        can make two endpoints' masks equal or unequal, so pairs join and
+        leave the shared set from one patch to the next."""
+        query, hosting = sharing_scene(seed, False, False)
+        node_constraint = SCREENS[screen]
+        filters = build_filters(query, hosting, WINDOW, node_constraint)
+        rng = random.Random(churn_seed)
+        for _ in range(rounds):
+            epoch = hosting.mutation_count
+            attr_churn(hosting, rng, 4)
+            for _ in range(2):
+                hosting.update_node(rng.choice(hosting.nodes()),
+                                    cpu=rng.randint(1, 4))
+            filters = patch_filters(filters, query, hosting, WINDOW,
+                                    node_constraint,
+                                    delta=hosting.delta_since(epoch),
+                                    max_row_fraction=1.0)
+            rebuilt = build_filters(query, hosting, WINDOW, node_constraint)
+            assert_blocks_equal(filters, rebuilt)
+            assert shared_pairs(filters) == shared_pairs(rebuilt)
+            if node_constraint is not NEED:
+                assert all(shared_pairs(filters))
+            assert filters.entry_count == rebuilt.entry_count
 
 
 # --------------------------------------------------------------------------- #

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.graphs import HostingNetwork, Network, QueryNetwork
@@ -139,6 +141,87 @@ class TestAdjacencyCache:
         for node in small_hosting.nodes():
             assert (sorted(small_hosting.neighbors(node))
                     == sorted(small_hosting.graph.neighbors(node)))
+
+
+class TestStructureMemo:
+    """Maximum degree and edge count are memoised across attribute churn and
+    never served stale across a structural mutation."""
+
+    def _star(self):
+        net = Network()
+        for node in "abcd":
+            net.add_node(node)
+        for leaf in "bcd":
+            net.add_edge("a", leaf, w=1)
+        return net
+
+    @pytest.fixture
+    def degree_walks(self, monkeypatch):
+        """Counts the whole-graph degree walks networkx is asked for (its
+        edge count is one too)."""
+        walks = []
+        cls = type(Network()._graph)
+        degree = cls.degree
+
+        def counting_degree(graph):
+            walks.append(graph)
+            return degree.__get__(graph)
+
+        monkeypatch.setattr(cls, "degree", property(counting_degree))
+        return walks
+
+    def test_structural_mutators_show_on_the_next_read(self):
+        net = self._star()
+        assert (net.max_degree(), net.num_edges) == (3, 3)
+        net.add_node("e")
+        assert (net.max_degree(), net.num_edges) == (3, 3)
+        net.add_edge("a", "e")
+        assert (net.max_degree(), net.num_edges) == (4, 4)
+        net.remove_edge("a", "b")
+        assert (net.max_degree(), net.num_edges) == (3, 3)
+        net.remove_node("a")
+        assert (net.max_degree(), net.num_edges) == (0, 0)
+        assert Network().max_degree() == 0
+
+    def test_directed_degree_counts_both_directions(self):
+        net = Network(directed=True)
+        for node in "abc":
+            net.add_node(node)
+        net.add_edge("a", "b")
+        net.add_edge("c", "a")
+        assert net.max_degree() == max(net.degree(node) for node in "abc") == 2
+
+    def test_attribute_churn_does_not_recompute(self, degree_walks):
+        net = self._star()
+        assert (net.max_degree(), net.num_edges) == (3, 3)
+        computed = len(degree_walks)
+        assert computed
+        for tick in range(5):
+            net.update_edge("a", "b", w=tick)
+            net.update_node("c", load=tick)
+            assert (net.max_degree(), net.num_edges) == (3, 3)
+        assert len(degree_walks) == computed
+        net.add_node("e")
+        net.add_edge("e", "b")
+        assert (net.max_degree(), net.num_edges) == (3, 4)
+        assert len(degree_walks) == 2 * computed
+
+    def test_pickle_ships_no_memo(self):
+        net = self._star()
+        assert (net.max_degree(), net.num_edges) == (3, 3)
+        state = net.__getstate__()
+        assert state["_max_degree"] is None and state["_num_edges"] is None
+        clone = pickle.loads(pickle.dumps(net))
+        assert (clone._max_degree, clone._num_edges) == (None, None)
+        assert (clone.max_degree(), clone.num_edges) == (3, 3)
+        assert (net._max_degree, net._num_edges) == (3, 3)   # owner keeps it
+
+    def test_derived_networks_start_without_a_memo(self):
+        net = self._star()
+        assert (net.max_degree(), net.num_edges) == (3, 3)
+        assert (net.copy().max_degree(), net.copy().num_edges) == (3, 3)
+        sub = net.subnetwork(["a", "b"])
+        assert (sub.max_degree(), sub.num_edges) == (1, 1)
 
 
 class TestInspection:
@@ -291,3 +374,26 @@ class TestQuerySpecifics:
 
     def test_feasible_query_is_not_flagged(self, small_hosting, path_query):
         assert not path_query.is_obviously_infeasible(small_hosting)
+
+    def test_all_three_reasons_read_the_same(self, small_hosting):
+        """Seven-node wheel: more nodes (7 > 6), more edges (12 > 7) and a
+        higher degree (6 > 3) than the hosting fixture."""
+        query = QueryNetwork("wheel")
+        query.add_node("hub")
+        rim = [f"rim{index}" for index in range(6)]
+        for node in rim:
+            query.add_node(node)
+            query.add_edge("hub", node)
+        for left, right in zip(rim, rim[1:] + rim[:1]):
+            query.add_edge(left, right)
+        assert query.obviously_infeasible_reasons(small_hosting) == [
+            "query has 7 nodes but the hosting network only has 6",
+            "query has 12 edges but the hosting network only has 7",
+            "query has a node of degree 6 but the maximum hosting degree is 3",
+        ]
+        # Attribute churn on the hosting side moves none of the three.
+        small_hosting.update_edge("a", "b", avgDelay=11.0)
+        assert len(query.obviously_infeasible_reasons(small_hosting)) == 3
+        # A structural change does: a seventh host drops the node reason.
+        small_hosting.add_node("g")
+        assert len(query.obviously_infeasible_reasons(small_hosting)) == 2
