@@ -96,8 +96,8 @@ def assert_same_artifacts(patched_plan, fresh_plan, tick: int) -> None:
     patched, fresh = patched_plan.prepared, fresh_plan.prepared
     pf, ff = patched.filters, fresh.filters
     checks = [
-        ("match cells", pf.match_masks == ff.match_masks),
-        ("non-match cells", pf.non_match_masks == ff.non_match_masks),
+        ("match cells", pf.blocks == ff.blocks),
+        ("non-match cells", pf.arcs == ff.arcs),
         ("candidate masks", pf.node_candidate_masks == ff.node_candidate_masks),
         ("node screening", pf.node_allowed_masks == ff.node_allowed_masks),
         ("infeasibility", patched.infeasible == fresh.infeasible),

@@ -3,14 +3,12 @@
 
 The perf-smoke CI job re-runs every benchmark at smoke scale and then calls
 this script to compare the fresh reports against the committed baselines
-under ``benchmarks/results/smoke/``.  Tracked metrics are declared below per
-report file; each is either
+under ``benchmarks/results/smoke/``.  Nothing timed is compared here — the
+``bench_*.py`` scripts still print their wall-clock ratios, but a ratio over
+a rebuild that keeps getting cheaper is not a regression signal; the four
+``BENCHMARK.json`` workloads (``benchmarks/e2e/``) are the timing gate.
+Tracked metrics are declared below per report file; each is either
 
-* a **ratio/scalar** metric (``kind="ratio"``): machine-independent
-  speedups.  The gate fails when the candidate falls more than
-  ``--tolerance`` (default 25 %) below the baseline.  Absolute wall-clock
-  seconds are deliberately *not* tracked — they do not transfer between
-  machines — which is why every benchmark reports normalised ratios.
 * an **exact** metric (``kind="exact"``): deterministic counts and parity
   booleans (mappings found, streams-identical flags).  Any change fails the
   gate, in either direction — a "regression" that *finds more mappings* is
@@ -30,8 +28,7 @@ so a brand-new benchmark can land together with its first baseline.
 Usage::
 
     python benchmarks/compare_bench.py \
-        --baseline benchmarks/results/smoke --candidate benchmarks/results \
-        [--tolerance 0.25]
+        --baseline benchmarks/results/smoke --candidate benchmarks/results
 
 Exit status: 0 = all gates green, 1 = regression, 2 = usage/missing files.
 """
@@ -53,14 +50,9 @@ class Metric:
     #: Dotted path into the JSON document (list indices allowed, e.g.
     #: ``engines.0.mappings_found``).
     path: str
-    #: "ratio" (tolerance-gated, higher is better), "exact" (must match), or
-    #: "sample" (must exist and be numeric; magnitude uncompared).
-    kind: str = "ratio"
-    #: Per-metric tolerance override for ratio metrics.  ``None`` uses the
-    #: CLI-wide value; metrics whose smoke-scale runs are wall-clock-noisy
-    #: (amortisation ratios over sub-second phases) declare a wider band —
-    #: a real regression dwarfs run-to-run noise anyway.
-    tolerance: Optional[float] = None
+    #: "exact" (must match) or "sample" (must exist and be numeric;
+    #: magnitude uncompared).
+    kind: str
 
     def resolve(self, document) -> Optional[object]:
         value = document
@@ -82,15 +74,12 @@ class Metric:
 #: The gate's contract: which metrics of which report are protected.
 TRACKED: Dict[str, List[Metric]] = {
     "BENCH_core.json": [
-        Metric("comparison.speedup_total", tolerance=0.40),
-        Metric("comparison.speedup_filter_build", tolerance=0.40),
         # Both engines enumerate the same complete stream; any drift in the
         # count is a correctness regression, not noise.
         Metric("engines.0.mappings_found", kind="exact"),
         Metric("engines.1.mappings_found", kind="exact"),
     ],
     "BENCH_plan.json": [
-        Metric("comparison.speedup_amortized_wall", tolerance=0.50),
         Metric("engines.0.mappings_found", kind="exact"),
         Metric("engines.1.mappings_found", kind="exact"),
         Metric("invalidation.fresh_results_match", kind="exact"),
@@ -104,8 +93,6 @@ TRACKED: Dict[str, List[Metric]] = {
         Metric("engines.1.mappings_found", kind="exact"),
     ],
     "BENCH_churn.json": [
-        Metric("refresh.speedup_refresh", tolerance=0.40),
-        Metric("repair.speedup_repair", tolerance=0.40),
         Metric("refresh.parity_checked", kind="exact"),
         Metric("refresh.recompiled", kind="exact"),
         Metric("repair.failed", kind="exact"),
@@ -172,21 +159,19 @@ TRACKED: Dict[str, List[Metric]] = {
         # every zone-local query embedded and revalidated against the
         # primary, feasibility parity with the monolithic oracle, bounded
         # per-partition working sets, and element-identical replicas after
-        # journal-delta refresh.  The scan speedup is wall-clock over
-        # sub-second smoke phases, hence the wide band.
+        # journal-delta refresh.
         Metric("embed.found", kind="exact"),
         Metric("embed.valid", kind="exact"),
         Metric("parity.results_match", kind="exact"),
         Metric("parity.mismatches", kind="exact"),
         Metric("partitions.bounded", kind="exact"),
         Metric("replication.identical", kind="exact"),
-        Metric("pruning.speedup_vs_scan", tolerance=0.60),
     ],
 }
 
 
-def compare_file(name: str, baseline_dir: Path, candidate_dir: Path,
-                 tolerance: float) -> List[str]:
+def compare_file(name: str, baseline_dir: Path, candidate_dir: Path
+                 ) -> List[str]:
     """Gate one report; returns failure messages (empty = green)."""
     failures: List[str] = []
     baseline_path = baseline_dir / name
@@ -228,27 +213,14 @@ def compare_file(name: str, baseline_dir: Path, candidate_dir: Path,
             failures.append(f"{name}: {metric.path} missing from the "
                             f"candidate report")
             continue
-        if metric.kind == "exact":
-            ok = cand_value == base_value
-            verdict = "ok" if ok else "CHANGED"
-            print(f"  {name}: {metric.path} = {cand_value!r} "
-                  f"(baseline {base_value!r}) [{verdict}]")
-            if not ok:
-                failures.append(
-                    f"{name}: {metric.path} changed from {base_value!r} to "
-                    f"{cand_value!r} (exact metric)")
-        else:
-            band = tolerance if metric.tolerance is None else metric.tolerance
-            floor = base_value * (1.0 - band)
-            ok = cand_value >= floor
-            verdict = "ok" if ok else "REGRESSED"
-            print(f"  {name}: {metric.path} = {cand_value:.3f} "
-                  f"(baseline {base_value:.3f}, floor {floor:.3f}) [{verdict}]")
-            if not ok:
-                failures.append(
-                    f"{name}: {metric.path} regressed to {cand_value:.3f}, "
-                    f"below the {floor:.3f} floor "
-                    f"(baseline {base_value:.3f} - {band:.0%})")
+        ok = cand_value == base_value
+        verdict = "ok" if ok else "CHANGED"
+        print(f"  {name}: {metric.path} = {cand_value!r} "
+              f"(baseline {base_value!r}) [{verdict}]")
+        if not ok:
+            failures.append(
+                f"{name}: {metric.path} changed from {base_value!r} to "
+                f"{cand_value!r} (exact metric)")
     return failures
 
 
@@ -261,23 +233,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--candidate", type=Path,
                         default=Path(__file__).parent / "results",
                         help="directory holding the freshly produced reports")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="allowed relative drop for ratio metrics "
-                             "(default: 0.25)")
     args = parser.parse_args(argv)
-    if not 0 <= args.tolerance < 1:
-        parser.error("--tolerance must be in [0, 1)")
     if not args.baseline.is_dir():
         print(f"error: baseline directory {args.baseline} does not exist",
               file=sys.stderr)
         return 2
 
-    print(f"comparing {args.candidate} against baselines in {args.baseline} "
-          f"(tolerance {args.tolerance:.0%} on ratio metrics)")
+    print(f"comparing {args.candidate} against baselines in {args.baseline}")
     failures: List[str] = []
     for name in sorted(TRACKED):
-        failures.extend(compare_file(name, args.baseline, args.candidate,
-                                     args.tolerance))
+        failures.extend(compare_file(name, args.baseline, args.candidate))
     if failures:
         print("\nbenchmark regression gate FAILED:", file=sys.stderr)
         for failure in failures:
@@ -301,25 +266,20 @@ def test_smoke(tmp_path):
     candidate = tmp_path / "candidate"
     baseline.mkdir()
     candidate.mkdir()
-    report = {"refresh": {"speedup_refresh": 4.0, "parity_checked": True,
-                          "recompiled": 0},
-              "repair": {"speedup_repair": 10.0, "failed": 0, "timeout": 0}}
+    report = {"refresh": {"parity_checked": True, "recompiled": 0},
+              "repair": {"failed": 0, "timeout": 0}}
     (baseline / "BENCH_churn.json").write_text(json.dumps(report))
     (candidate / "BENCH_churn.json").write_text(json.dumps(report))
-    assert main(["--baseline", str(baseline), "--candidate", str(candidate),
-                 "--tolerance", "0.25"]) == 0
+    assert main(["--baseline", str(baseline), "--candidate", str(candidate)]) == 0
 
-    degraded = {"refresh": {"speedup_refresh": 2.0, "parity_checked": True,
-                            "recompiled": 0},
-                "repair": {"speedup_repair": 10.0, "failed": 0, "timeout": 0}}
+    degraded = {"refresh": {"parity_checked": True, "recompiled": 1},
+                "repair": {"failed": 0, "timeout": 0}}
     (candidate / "BENCH_churn.json").write_text(json.dumps(degraded))
-    assert main(["--baseline", str(baseline), "--candidate", str(candidate),
-                 "--tolerance", "0.25"]) == 1
+    assert main(["--baseline", str(baseline), "--candidate", str(candidate)]) == 1
 
     # A missing candidate report is a failure, not a skip.
     (candidate / "BENCH_churn.json").unlink()
-    assert main(["--baseline", str(baseline), "--candidate", str(candidate),
-                 "--tolerance", "0.25"]) == 1
+    assert main(["--baseline", str(baseline), "--candidate", str(candidate)]) == 1
 
     # Sample metrics: a numeric percentile passes; a null one (empty
     # sample) fails the gate even though the baseline value is ignored.
@@ -332,15 +292,13 @@ def test_smoke(tmp_path):
                            "p99_seconds": 0.012}}
     (baseline / "BENCH_serving.json").write_text(json.dumps(serving))
     (candidate / "BENCH_serving.json").write_text(json.dumps(serving))
-    assert main(["--baseline", str(baseline), "--candidate", str(candidate),
-                 "--tolerance", "0.25"]) == 0
+    assert main(["--baseline", str(baseline), "--candidate", str(candidate)]) == 0
 
     starved = json.loads(json.dumps(serving))
     starved["latency"] = {"p50_seconds": None, "p95_seconds": None,
                           "p99_seconds": None}
     (candidate / "BENCH_serving.json").write_text(json.dumps(starved))
-    assert main(["--baseline", str(baseline), "--candidate", str(candidate),
-                 "--tolerance", "0.25"]) == 1
+    assert main(["--baseline", str(baseline), "--candidate", str(candidate)]) == 1
 
 
 if __name__ == "__main__":

@@ -116,28 +116,11 @@ def build_report(samples: Sequence[PerfSample],
 
 
 def write_bench_json(path, report: Dict) -> Path:
-    """Write *report* as pretty-printed JSON; returns the written path.
-
-    When the target is a default run's output location —
-    ``<repo>/benchmarks/results/BENCH_*.json`` directly, not the committed
-    ``smoke/``/``full/`` baseline subdirectories — the summary is mirrored to
-    ``<repo>/BENCH_*.json`` so the latest numbers sit at the repo root
-    (gitignored there; see ``.gitignore``).  Mirroring is best-effort: a
-    read-only or unexpected layout never fails the benchmark itself.
-    """
+    """Write *report* as pretty-printed JSON; returns the written path."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    target.write_text(payload, encoding="utf-8")
-    resolved = target.resolve()
-    if (resolved.parent.name == "results"
-            and resolved.parent.parent.name == "benchmarks"
-            and resolved.name.startswith("BENCH_")):
-        try:
-            mirror = resolved.parent.parent.parent / resolved.name
-            mirror.write_text(payload, encoding="utf-8")
-        except OSError:  # pragma: no cover - mirroring is best-effort
-            pass
+    target.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
+                      encoding="utf-8")
     return target
 
 

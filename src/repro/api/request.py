@@ -1,13 +1,11 @@
 """The request/response object model of the embedding API.
 
-Historically every algorithm and baseline exposed a growing keyword list on
-:meth:`~repro.core.base.EmbeddingAlgorithm.search`, each re-validating and
-re-documenting the same arguments.  :class:`SearchRequest` centralises that:
-it is an immutable value object holding the query, the hosting network, the
-(coerced) constraint expressions and a :class:`Budget`, validated exactly
-once at construction time.  Algorithms consume it through
-:meth:`EmbeddingAlgorithm.request`; the old ``search(**kwargs)`` signature
-survives as a thin shim that builds a request.
+Every algorithm and baseline takes one argument shape.
+:class:`SearchRequest` is an immutable value object holding the query, the
+hosting network, the (coerced) constraint expressions and a :class:`Budget`,
+validated exactly once at construction time; algorithms consume it through
+:meth:`EmbeddingAlgorithm.request`, and :meth:`SearchRequest.build` makes one
+from flat keywords.
 
 Being frozen dataclasses, requests are hashable-by-identity, safe to share
 across threads (the batch service submits the same request objects to a
@@ -221,7 +219,7 @@ class SearchRequest:
               max_results: Optional[int] = None,
               budget: Optional[Budget] = None,
               parallelism: Optional[int] = None) -> "SearchRequest":
-        """Construct a request from the legacy keyword-argument surface.
+        """Construct a request from flat keywords.
 
         ``budget`` and the flat ``timeout``/``max_results`` pair are mutually
         exclusive ways of expressing the same limits.

@@ -8,10 +8,8 @@ validated :class:`~repro.api.request.SearchRequest` and returns an
 :class:`~repro.core.plan.EmbeddingPlan` whose
 :meth:`~repro.core.plan.EmbeddingPlan.execute` amortises the compile stage
 across repeated runs.  ``request()`` is itself a thin prepare-and-execute
-under one deadline.  The historical keyword surface
-(:meth:`EmbeddingAlgorithm.search`) survives as a deprecated shim that builds
-a request, so existing call sites keep working; :meth:`iter_mappings` streams
-embeddings lazily instead of materializing the full result list.
+under one deadline.  :meth:`iter_mappings` streams embeddings lazily instead
+of materializing the full result list.
 
 The :class:`SearchContext` object carries the per-search mutable state
 (deadline, statistics, the embeddings discovered so far, time-to-first
@@ -26,7 +24,6 @@ import abc
 import queue as queue_module
 import random
 import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -128,6 +125,23 @@ def placed_neighbor_plan(query: QueryNetwork, order: List[NodeId]
     return plan
 
 
+def hosting_orientation(hosting: Network, r_source: NodeId, r_target: NodeId
+                        ) -> Optional[Edge]:
+    """The hosting edge orientation covering ``r_source -> r_target``, or
+    ``None`` — the engine's one scalar statement of the rule (LNS's lazy
+    checks and mapping repair both read it; LNS's batched checks apply it to
+    a whole arc row at a time in :func:`repro.core.filters._placed_host_arcs`;
+    the validity oracle in :mod:`repro.core.mapping` keeps its own copy on
+    purpose).  Directed hosting networks require the edge itself; undirected
+    ones accept either stored orientation and report it as
+    ``(r_source, r_target)`` because edge attributes are shared."""
+    if hosting.has_edge(r_source, r_target):
+        return (r_source, r_target)
+    if not hosting.directed and hosting.has_edge(r_target, r_source):
+        return (r_source, r_target)
+    return None
+
+
 @dataclass
 class SearchContext:
     """Mutable per-search state shared between an algorithm and its helpers."""
@@ -191,17 +205,6 @@ class SearchContext:
 
     # -- compatibility checks used by the on-the-fly (LNS) search ---------- #
 
-    def hosting_orientation(self, r_source: NodeId, r_target: NodeId) -> Optional[Edge]:
-        """The hosting edge orientation covering ``r_source -> r_target``, or
-        ``None``.  (LNS's batched checks apply the same rule to a whole arc
-        row at a time: :func:`repro.core.filters._placed_host_arcs`.)"""
-        hosting = self.hosting
-        if hosting.has_edge(r_source, r_target):
-            return (r_source, r_target)
-        if not hosting.directed and hosting.has_edge(r_target, r_source):
-            return (r_source, r_target)
-        return None
-
     def edge_pair_matches(self, query_edge: Edge, hosting_edge: Edge) -> bool:
         """Whether the constraint accepts mapping *query_edge* onto *hosting_edge*.
 
@@ -217,7 +220,7 @@ class SearchContext:
     def query_edge_supported(self, q_source: NodeId, q_target: NodeId,
                              r_source: NodeId, r_target: NodeId) -> bool:
         """Topology + constraint check for a single query edge under a partial mapping."""
-        oriented = self.hosting_orientation(r_source, r_target)
+        oriented = hosting_orientation(self.hosting, r_source, r_target)
         if oriented is None:
             return False
         return self.edge_pair_matches((q_source, q_target), oriented)
@@ -271,9 +274,10 @@ class EmbeddingAlgorithm(abc.ABC):
             Optional event aborting the search (via :class:`StreamClosed`)
             at its next deadline check; set by a departing stream consumer.
         pool:
-            Optional :class:`~concurrent.futures.ProcessPoolExecutor` for
-            the sharded engine (``None`` = the module-wide shared pool);
-            only consulted when the request asks for parallelism.
+            Optional executor for the sharded engine (``None`` = the
+            module-wide shared process pool; a
+            :class:`~concurrent.futures.ThreadPoolExecutor` gets thread
+            shards); only consulted when the request asks for parallelism.
 
         Returns
         -------
@@ -431,7 +435,7 @@ class EmbeddingAlgorithm(abc.ABC):
         if not isinstance(request, SearchRequest):
             raise TypeError(
                 f"expected a SearchRequest, got {type(request).__name__}; "
-                f"use search(...) for the keyword-argument surface")
+                f"build one with SearchRequest.build(query, hosting, ...)")
 
     def _drive(self, request: SearchRequest, prepared: Optional[PreparedSearch],
                budget: Budget, on_mapping, cancel, rng,
@@ -507,50 +511,8 @@ class EmbeddingAlgorithm(abc.ABC):
         context.stats.filter_build_seconds = prepared.filter_build_seconds
 
     # ------------------------------------------------------------------ #
-    # Legacy keyword surface (thin shims over request())
+    # Keyword conveniences (thin wrappers over request())
     # ------------------------------------------------------------------ #
-
-    def search(self, query: QueryNetwork, hosting: Network,
-               constraint: ConstraintLike = None,
-               node_constraint: ConstraintLike = None,
-               timeout: Optional[float] = None,
-               max_results: Optional[int] = None) -> EmbeddingResult:
-        """Search for feasible embeddings of *query* into *hosting*.
-
-        Equivalent to ``self.request(SearchRequest.build(...))``; kept so the
-        pre-request call sites (examples, benchmarks, experiments) continue
-        to work unchanged.
-
-        Parameters
-        ----------
-        query:
-            The virtual network to embed.
-        hosting:
-            The real infrastructure to embed into.
-        constraint:
-            Edge constraint expression; ``None`` means "topology only".
-            A plain string is accepted and parsed.
-        node_constraint:
-            Optional node-level constraint expression over ``vNode``/``rNode``.
-        timeout:
-            Wall-clock budget in seconds (``None`` = unlimited).
-        max_results:
-            Stop after this many embeddings (``None`` = find all that the
-            algorithm is designed to find; RWB always stops at one).
-
-        Returns
-        -------
-        EmbeddingResult
-        """
-        warnings.warn(
-            "EmbeddingAlgorithm.search(**kwargs) is deprecated; build a "
-            "SearchRequest and call request(), or prepare() for a reusable "
-            "EmbeddingPlan",
-            DeprecationWarning, stacklevel=2)
-        return self.request(SearchRequest.build(
-            query, hosting, constraint=constraint,
-            node_constraint=node_constraint, timeout=timeout,
-            max_results=max_results))
 
     def find_first(self, query: QueryNetwork, hosting: Network,
                    constraint: ConstraintLike = None,

@@ -32,23 +32,18 @@ the size statistics are counted while packing.  ``F̄`` is never stored: a
 non-match cell is the placed host's oriented-arc row minus its ``F`` cell,
 derived on demand from the :class:`HostingCompile`'s packed arc adjacency.
 
-The dict-of-int surfaces (``match_masks`` / ``non_match_masks``), the
-dict-of-set surfaces (``match`` / ``non_match`` / ``node_candidates``) and
-the set-returning accessors (:meth:`FilterMatrices.cell`,
-:meth:`~FilterMatrices.candidates_given`,
-:meth:`~FilterMatrices.candidates_unplaced`) are read-only views decoded from
-the blocks per call — for tests and diagnostics; no search reads them —
-and enumerate in one canonical order (query pair order, ``ab`` before
-``ba``, ascending host index) whether the snapshot was built or patched.
-The set-semantics oracle they are tested against lives in
-:mod:`repro.core.reference`.  numpy is a declared install dependency and
-this module requires it.
+Nothing here is dict- or set-shaped: :class:`FilterMatrices` is blocks, the
+arc adjacency, the node masks and counts.  Tests and diagnostics that want
+the paper's ``F`` / ``F̄`` as dicts of sets decode them with
+:func:`repro.core.reference.decode_views`, beside the set-semantics oracle
+they are compared against.  numpy is a declared install dependency and this
+module requires it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -83,8 +78,8 @@ class CellBlock:
     what lets a symmetric query pair store *one* block under both of its
     keys (:func:`_pack_pairs`; pickle's memo keeps it one object), and
     lets the interpreted kernel decode a row only when a walk first reads it
-    (:meth:`mask_of`) — :meth:`items` decodes every row and is for the
-    dict-shaped test views.
+    (:meth:`mask_of`) — :meth:`items` decodes every row and is for
+    :func:`repro.core.reference.decode_views`.
     """
 
     __slots__ = ("hosts", "words", "count")
@@ -131,9 +126,7 @@ class FilterMatrices:
     per-node candidates.
 
     :attr:`blocks` is the only stored form of the cells; the kernel plans of
-    :mod:`repro.core.kernel` read it directly and everything dict- or
-    set-shaped below — the mask accessors included — is a view decoded from
-    it per call, with no caller on a search path.
+    :mod:`repro.core.kernel` read it directly.
     """
 
     #: Dense index over the hosting nodes; bit order == ``sorted(key=str)``.
@@ -189,139 +182,6 @@ class FilterMatrices:
     def candidate_count(self, query_node: NodeId) -> int:
         """Cardinality of expression (1)'s candidate set for *query_node*."""
         return self.node_candidate_masks.get(query_node, 0).bit_count()
-
-    # ------------------------------------------------------------------ #
-    # Bitmask algebra over the blocks
-    # ------------------------------------------------------------------ #
-
-    def cell_mask(self, placed_query: NodeId, placed_host: NodeId,
-                  next_query: NodeId) -> int:
-        """One ``F`` cell as an int mask, read straight from its block."""
-        block = self.blocks.get((placed_query, next_query))
-        if block is None or placed_host not in self.host_indexer:
-            return 0
-        return block.mask_of(self.host_indexer.index_of(placed_host))
-
-    def candidates_mask_unplaced(self, query_node: NodeId) -> int:
-        """Expression (1) as a bitmask: candidates before any neighbour is placed."""
-        return self.node_candidate_masks.get(query_node, 0)
-
-    def candidates_mask_given(self, query_node: NodeId,
-                              placed_neighbors: Iterable[Tuple[NodeId, NodeId]],
-                              used_mask: int) -> int:
-        """Expression (2) as a bitmask chain.
-
-        Intersects the ``F`` cells indexed by the placed neighbours with
-        ``&`` and removes consumed hosts with ``& ~used_mask``; a missing
-        cell contributes the empty mask, pruning the branch immediately.
-        """
-        mask: Optional[int] = None
-        for neighbor, host in placed_neighbors:
-            cell = self.cell_mask(neighbor, host, query_node)
-            mask = cell if mask is None else mask & cell
-            if not mask:
-                return 0
-        if mask is None:
-            mask = self.node_candidate_masks.get(query_node, 0)
-        return mask & ~used_mask
-
-    # ------------------------------------------------------------------ #
-    # Dict-of-int views (decoded per call, canonical order)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def match_masks(self) -> Dict[FilterKey, int]:
-        """``F`` as ``{(placed, host, next): candidate mask}`` (a snapshot)."""
-        node_at = self.host_indexer.node_at
-        return {(placed, node_at(index), following): mask
-                for (placed, following), block in self.blocks.items()
-                for index, mask in block.items()}
-
-    @property
-    def non_match_masks(self) -> Dict[FilterKey, int]:
-        """``F̄`` in the same shape, derived: each placed host's oriented
-        arcs minus its ``F`` cell.  Empty unless non-matches are recorded."""
-        if self.arcs is None:
-            return {}
-        node_at = self.host_indexer.node_at
-        arc_rows = list(self.arcs.items())
-        derived: Dict[FilterKey, int] = {}
-        for (placed, following), block in self.blocks.items():
-            matched = dict(block.items())
-            for index, arc_mask in arc_rows:
-                mask = arc_mask & ~matched.get(index, 0)
-                if mask:
-                    derived[(placed, node_at(index), following)] = mask
-        return derived
-
-    # ------------------------------------------------------------------ #
-    # Candidate-set algebra (decode views over the masks)
-    # ------------------------------------------------------------------ #
-
-    def candidates_unplaced(self, query_node: NodeId) -> Set[NodeId]:
-        """Expression (1): candidates for *query_node* before any neighbour is placed."""
-        return self.host_indexer.decode_set(self.candidates_mask_unplaced(query_node))
-
-    def candidates_given(self, query_node: NodeId,
-                         placed_neighbors: Iterable[Tuple[NodeId, NodeId]],
-                         used_hosts: Iterable[NodeId]) -> Set[NodeId]:
-        """Expression (2): candidates for *query_node* given its placed neighbours.
-
-        Parameters
-        ----------
-        query_node:
-            The query node to be placed next.
-        placed_neighbors:
-            ``(query neighbour, hosting node it is mapped to)`` pairs for every
-            already-placed neighbour of *query_node*.
-        used_hosts:
-            Hosting nodes already consumed by the partial mapping.
-
-        Returns
-        -------
-        set
-            Hosting nodes that are simultaneously compatible with every placed
-            neighbour and not yet used.  Empty when any neighbour contributes
-            an empty cell — which is exactly the pruning condition of ECF.
-        """
-        mask = self.candidates_mask_given(query_node, list(placed_neighbors),
-                                          self.host_indexer.encode(used_hosts))
-        return self.host_indexer.decode_set(mask)
-
-    def cell(self, placed_query: NodeId, placed_host: NodeId, next_query: NodeId
-             ) -> FrozenSet[NodeId]:
-        """The raw ``F`` cell (read-only view) for diagnostics and tests."""
-        return frozenset(self.host_indexer.decode(
-            self.cell_mask(placed_query, placed_host, next_query)))
-
-    def non_match_cell(self, placed_query: NodeId, placed_host: NodeId,
-                       next_query: NodeId) -> FrozenSet[NodeId]:
-        """The raw ``F̄`` cell (read-only view)."""
-        return frozenset(self.host_indexer.decode(self.non_match_masks.get(
-            (placed_query, placed_host, next_query), 0)))
-
-    # ------------------------------------------------------------------ #
-    # Dict-of-set views (decoded snapshots of the mask views)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def match(self) -> Dict[FilterKey, Set[NodeId]]:
-        """``F`` decoded to the historical dict-of-set shape (a snapshot)."""
-        decode = self.host_indexer.decode_set
-        return {key: decode(mask) for key, mask in self.match_masks.items()}
-
-    @property
-    def non_match(self) -> Dict[FilterKey, Set[NodeId]]:
-        """``F̄`` decoded to the historical dict-of-set shape (a snapshot)."""
-        decode = self.host_indexer.decode_set
-        return {key: decode(mask) for key, mask in self.non_match_masks.items()}
-
-    @property
-    def node_candidates(self) -> Dict[NodeId, Set[NodeId]]:
-        """Per-node candidate sets decoded from the masks (a snapshot)."""
-        decode = self.host_indexer.decode_set
-        return {node: decode(mask)
-                for node, mask in self.node_candidate_masks.items()}
 
 
 @dataclass
@@ -1003,8 +863,7 @@ def _placed_host_arcs(compiled: HostingCompile, placed_index: int,
     """``(rows, offered, exists, side)``: how one placed host's arc rows are
     read for a connecting query edge — the one statement of the lazy check's
     orientation and existence rule (the array form of
-    :meth:`SearchContext.hosting_orientation
-    <repro.core.base.SearchContext.hosting_orientation>` followed by
+    :func:`repro.core.base.hosting_orientation` followed by
     :func:`~repro.constraints.edge_context`).
 
     The host at *placed_index* carries one endpoint of the query edge and
@@ -1262,6 +1121,30 @@ def _screen_nodes(query: QueryNetwork, hosting: Network,
     return {node: indexer.encode(allowed[node]) for node in query.nodes()}
 
 
+def rescreen_nodes(query: QueryNetwork, hosting: Network,
+                   node_constraint: ConstraintExpression, indexer: NodeIndexer,
+                   touched: Iterable[NodeId],
+                   allowed_masks: Dict[NodeId, int]) -> None:
+    """Re-evaluate *node_constraint* for the *touched* hosting nodes and set
+    or clear their bit in every query node's mask of *allowed_masks*, in
+    place — the node-screening half of an attr-only patch (hosts the delta
+    names but the network no longer has are skipped)."""
+    touched_hosts = [(hosting.node_attrs(host), indexer.bit(host))
+                     for host in sorted(touched, key=str)
+                     if hosting.has_node(host)]
+    evaluate = node_constraint.evaluate
+    for query_node in query.nodes():
+        context = {"vNode": query.node_attrs(query_node), "rNode": None}
+        mask = allowed_masks.get(query_node, 0)
+        for attrs, bit in touched_hosts:
+            context["rNode"] = attrs
+            if evaluate(context):
+                mask |= bit
+            else:
+                mask &= ~bit
+        allowed_masks[query_node] = mask
+
+
 def compute_node_candidates(query: QueryNetwork, hosting: Network,
                             node_constraint: Optional[ConstraintExpression] = None
                             ) -> Dict[NodeId, Set[NodeId]]:
@@ -1308,7 +1191,6 @@ def patch_filters(filters: FilterMatrices, query: QueryNetwork,
                   node_constraint: Optional[ConstraintExpression] = None,
                   compiled: Optional[HostingCompile] = None,
                   delta: Optional[NetworkDelta] = None,
-                  max_row_fraction: Optional[float] = None,
                   deadline=None) -> Optional[FilterMatrices]:
     """Re-derive *filters* for an attr-only hosting delta by patching rows.
 
@@ -1325,7 +1207,7 @@ def patch_filters(filters: FilterMatrices, query: QueryNetwork,
     concurrent executes against the old plan stay safe), or ``None`` when
     patching does not apply: no delta (journal overflow), a structural
     delta, a foreign/stale hosting compile, or a delta touching more than
-    *max_row_fraction* of the arc rows.
+    :data:`PATCH_ROW_FRACTION` of the arc rows.
 
     Cumulative statistics: ``constraint_evaluations`` / ``build_seconds``
     accumulate the patch work on top of the original build's, and
@@ -1378,12 +1260,10 @@ def patch_filters(filters: FilterMatrices, query: QueryNetwork,
     if not relevant_edges and not relevant_nodes:
         return filters   # the delta never touched anything the filters read
 
-    if max_row_fraction is None:
-        max_row_fraction = PATCH_ROW_FRACTION   # resolved late: a tunable knob
     rows = np.asarray(
         compiled.rows_for(nodes=relevant_nodes, edges=relevant_edges),
         dtype=np.int64)
-    if len(rows) > max_row_fraction * max(1, len(compiled.host_pair_info)):
+    if len(rows) > PATCH_ROW_FRACTION * max(1, len(compiled.host_pair_info)):
         return None
 
     stopwatch = Stopwatch().start()
@@ -1393,20 +1273,8 @@ def patch_filters(filters: FilterMatrices, query: QueryNetwork,
     # the expression-(1) fallback for query nodes left without any match.
     allowed_masks = dict(filters.node_allowed_masks)
     if screening and screen_nodes:
-        touched_hosts = [(host, hosting.node_attrs(host), indexer.bit(host))
-                         for host in sorted(screen_nodes, key=str)
-                         if hosting.has_node(host)]
-        node_evaluate = node_constraint.evaluate
-        for query_node in query.nodes():
-            context = {"vNode": query.node_attrs(query_node), "rNode": None}
-            mask = allowed_masks.get(query_node, 0)
-            for host, attrs, bit in touched_hosts:
-                context["rNode"] = attrs
-                if node_evaluate(context):
-                    mask |= bit
-                else:
-                    mask &= ~bit
-            allowed_masks[query_node] = mask
+        rescreen_nodes(query, hosting, node_constraint, indexer, screen_nodes,
+                       allowed_masks)
 
     verdicts, evaluations = _pair_verdicts(
         query, constraint, _pair_edges(query), compiled, allowed_masks,

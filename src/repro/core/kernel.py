@@ -11,13 +11,14 @@ here, over a :class:`KernelPlan` — the search-ready view of one
   available.
 * ``numba`` — the same algorithm transliterated to ``numba.njit`` over the
   blocks' fixed-width ``uint64`` words themselves (:mod:`repro.core.words`),
-  compiled ``nogil`` so thread-based shards can actually scale.  Selected
-  only when numba imports *and* passes a tiny compile-and-verify self-test;
-  otherwise the python backend takes over with a warning.
+  compiled ``nogil`` so that thread-based shards are not GIL-bound (the
+  speedup itself is unmeasured: no committed record was taken with numba).
 
-Selection happens once at import from ``REPRO_KERNEL`` (``auto`` | ``python``
-| ``numba``; default ``auto`` = numba when available, else python) and can
-be overridden programmatically via :func:`set_backend` / :func:`forced`.
+The backend is detected, not selected: it is ``numba`` exactly when numba
+imports *and* the compiled kernels pass a tiny compile-and-verify self-test
+(a failed self-test warns), ``python`` otherwise.  The probe runs once per
+process, on the first search or :func:`active_backend` call — importing this
+module probes nothing and reads no environment variable.
 
 Expression (2) — the intersection of the filter cells indexed by a node's
 placed neighbours — is written here and nowhere else in the production
@@ -38,10 +39,8 @@ node, the kernel polls between chunks (a few thousand expansions), so a
 
 from __future__ import annotations
 
-import os
 import threading
 import warnings
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence
 
 from repro.constraints.vectorizer import HAVE_NUMPY, np
@@ -50,8 +49,6 @@ from repro.core.words import mask_to_words, pack_masks
 
 __all__ = [
     "active_backend",
-    "set_backend",
-    "forced",
     "require_backend",
     "describe",
     "numba_available",
@@ -72,136 +69,78 @@ CHUNK_LEAVES = 256
 _DONE = 0
 _PAUSED = 1
 
-_ENV_VAR = "REPRO_KERNEL"
-_VALID = ("auto", "python", "numba")
-
-_BACKEND = "python"
 _NUMBA: Optional[dict] = None
 _NUMBA_LOAD_TRIED = False
 _LOCK = threading.Lock()
 
 
 # ---------------------------------------------------------------------- #
-# Backend selection
+# Backend detection
 # ---------------------------------------------------------------------- #
 
 def _load_numba() -> Optional[dict]:
-    """Compile (or load from ``NUMBA_CACHE_DIR``) and self-verify the
-    njit kernels.  Returns the callable table, or ``None`` with a warning
-    when numba is missing or the self-test fails."""
+    """The njit callable table, or ``None`` when numba is missing or its
+    kernels fail their self-test (the latter with a warning).
+
+    Resolved once per process, by the first caller: compiled (or loaded
+    from ``NUMBA_CACHE_DIR``) and self-verified under ``_LOCK``, so threads
+    racing the first search probe once and agree on the answer."""
     global _NUMBA, _NUMBA_LOAD_TRIED
+    if _NUMBA_LOAD_TRIED:
+        return _NUMBA
     with _LOCK:
-        if _NUMBA is not None:
-            return _NUMBA
         if _NUMBA_LOAD_TRIED:
-            return None
-        _NUMBA_LOAD_TRIED = True
-        if not HAVE_NUMPY:
-            return None
+            return _NUMBA
         try:
-            import numba
-        except Exception:
-            return None
-        try:
-            table = _compile_numba(numba)
-            _self_test(table)
-        except Exception as exc:  # pragma: no cover - depends on numba build
-            warnings.warn(
-                f"numba search kernel failed its compile/self-test ({exc!r}); "
-                f"using the pure-python kernel instead", RuntimeWarning,
-                stacklevel=3)
-            return None
-        _NUMBA = table
-        return table
-
-
-def _resolve(name: str) -> str:
-    """Map a requested backend name to the one actually available."""
-    if name == "python":
-        return name
-    if name == "numba":
-        if _load_numba() is None:
-            warnings.warn(
-                "REPRO_KERNEL=numba requested but the numba kernel is "
-                "unavailable; falling back to the python kernel",
-                RuntimeWarning, stacklevel=3)
-            return "python"
-        return "numba"
-    # auto: prefer the compiled kernel, silently fall back.
-    return "numba" if _load_numba() is not None else "python"
-
-
-def _init_from_env() -> str:
-    raw = os.environ.get(_ENV_VAR, "auto").strip().lower() or "auto"
-    if raw not in _VALID:
-        warnings.warn(
-            f"unknown {_ENV_VAR}={raw!r} (expected one of {_VALID}); "
-            f"using 'auto'", RuntimeWarning)
-        raw = "auto"
-    return _resolve(raw)
+            if not HAVE_NUMPY:
+                return None
+            try:
+                import numba
+            except Exception:
+                return None
+            try:
+                table = _compile_numba(numba)
+                _self_test(table)
+            except Exception as exc:  # pragma: no cover - depends on numba build
+                warnings.warn(
+                    f"numba search kernel failed its compile/self-test ({exc!r}); "
+                    f"using the pure-python kernel instead", RuntimeWarning,
+                    stacklevel=3)
+                return None
+            _NUMBA = table
+            return table
+        finally:
+            # Set last: the unlocked read above only ever sees a finished probe.
+            _NUMBA_LOAD_TRIED = True
 
 
 def active_backend() -> str:
-    """The backend in use: ``"python"`` or ``"numba"``."""
-    return _BACKEND
-
-
-def set_backend(name: str) -> str:
-    """Switch backends at runtime (tests, benchmarks).  Returns the backend
-    actually selected — asking for ``numba`` without numba yields
-    ``python`` with a warning, mirroring the env-var path.
-
-    The switch is process-global and unsynchronised: searches already in
-    flight on other threads (``REPRO_SHARD_BACKEND=thread`` shards) read
-    the backend per call and would straddle the flip.  Only switch while
-    no search is running."""
-    if name not in _VALID:
-        raise ValueError(f"unknown kernel backend {name!r}; "
-                         f"expected one of {_VALID}")
-    global _BACKEND
-    _BACKEND = _resolve(name)
-    return _BACKEND
-
-
-@contextmanager
-def forced(name: str):
-    """Temporarily pin the backend.
-
-    Same caveat as :func:`set_backend`: not safe while searches are in
-    flight on other threads — both the pin and the restore are global."""
-    previous = _BACKEND
-    set_backend(name)
-    try:
-        yield _BACKEND
-    finally:
-        set_backend(previous)
+    """The backend searches run on: ``"numba"`` when the compiled kernels
+    loaded and verified in this process, ``"python"`` otherwise."""
+    return "numba" if _load_numba() is not None else "python"
 
 
 def require_backend(name: str) -> None:
     """Assert the active backend is *name* — CI calls this so a numba job
     that silently fell back to python fails loudly instead of green-washing
     the matrix."""
-    if _BACKEND != name:
+    backend = active_backend()
+    if backend != name:
         raise RuntimeError(
-            f"kernel backend is {_BACKEND!r}, expected {name!r} "
-            f"(REPRO_KERNEL={os.environ.get(_ENV_VAR, '')!r})")
+            f"kernel backend is {backend!r}, expected {name!r}")
 
 
 def numba_available() -> bool:
-    """Whether the numba kernels load and verify in this process.
-
-    A call-time fact, not an import-time one: under ``REPRO_KERNEL=python``
-    nothing probes numba at import, so the first call here makes the (once
-    per process) load attempt."""
+    """Whether the numba kernels load and verify in this process (the first
+    call makes the once-per-process load attempt)."""
     return _load_numba() is not None
 
 
 def describe() -> Dict[str, object]:
     """Diagnostic snapshot (surfaced by ``EmbeddingPlan.describe`` and CI)."""
     return {
-        "backend": _BACKEND,
+        "backend": active_backend(),
         "numba_available": numba_available(),
-        "env": os.environ.get(_ENV_VAR),
         "chunk_steps": CHUNK_STEPS,
         "chunk_leaves": CHUNK_LEAVES,
     }
@@ -428,7 +367,7 @@ def ecf_search(context, plan: KernelPlan, start_depth: int = 0,
     # An already-expired budget must surface zero mappings, not a chunk's
     # worth.  Mid-run granularity stays chunk-width (sanctioned).
     context.check_deadline()
-    if _BACKEND == "numba" and _NUMBA is not None:
+    if _load_numba() is not None:
         return _ecf_search_words(context, plan, start_depth, assignment,
                                  used_mask, start_mask)
     return _ecf_search_ints(context, plan, start_depth, assignment,
@@ -568,7 +507,7 @@ class RwbCursor:
 
     def __init__(self, plan: KernelPlan) -> None:
         self._plan = plan
-        self._numba = _BACKEND == "numba" and _NUMBA is not None
+        self._numba = _load_numba() is not None
         if self._numba:
             _, _, _, _, _, nw = plan.words()
             self._used = np.zeros(nw, dtype=np.uint64)
@@ -869,5 +808,3 @@ def _self_test(table: dict) -> None:
             f"rwb kernel self-test mismatch: count={count} "
             f"idx={list(out_idx[:count])}")
 
-
-_BACKEND = _init_from_env()

@@ -57,7 +57,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 from repro.api.registry import Capability, register_algorithm
 from repro.api.request import SearchRequest
 from repro.core.base import EmbeddingAlgorithm, SearchContext
-from repro.core.filters import compute_node_candidates, peek_hosting_compile
+from repro.core.filters import (compute_node_candidates,
+                                peek_hosting_compile, rescreen_nodes)
 from repro.core.indexing import NodeIndexer
 from repro.core.ordering import lns_next_neighbor
 from repro.core.plan import PreparedSearch
@@ -78,16 +79,9 @@ from repro.utils.timing import Deadline
     tags=["core"],
 )
 class LNS(EmbeddingAlgorithm):
-    """Lazy Neighborhood Search.
-
-    Parameters
-    ----------
-    candidate_order:
-        ``"sorted"`` (deterministic, default) or ``"degree"`` — how candidate
-        hosting nodes are ordered when tried.  Ordering by descending hosting
-        degree tends to find first matches sooner on sparse hosts; the default
-        keeps runs deterministic and reproducible.
-    """
+    """Lazy Neighborhood Search.  Candidate hosts are tried in ascending
+    dense-index order — the canonical ``sorted(key=str)`` order of
+    :class:`~repro.core.indexing.NodeIndexer`."""
 
     name = "LNS"
     supports_prepare = True
@@ -95,15 +89,6 @@ class LNS(EmbeddingAlgorithm):
     #: networks and expressions to the workers (the default) — only the
     #: filter-based algorithms can omit them.
     supports_sharding = True
-
-    def __init__(self, candidate_order: str = "sorted") -> None:
-        if candidate_order not in ("sorted", "degree"):
-            raise ValueError(
-                f"candidate_order must be 'sorted' or 'degree', got {candidate_order!r}")
-        self._candidate_order = candidate_order
-
-    def plan_signature(self):
-        return (self.name, self._candidate_order)
 
     # ------------------------------------------------------------------ #
 
@@ -130,24 +115,7 @@ class LNS(EmbeddingAlgorithm):
         allowed_masks = {node: indexer.encode(hosts)
                          for node, hosts in node_allowed.items()}
         return PreparedSearch(indexer=indexer, allowed_masks=allowed_masks,
-                              adjacency_masks={},
-                              degree_rank=self._degree_rank(request.hosting,
-                                                            indexer))
-
-    def _degree_rank(self, hosting, indexer: NodeIndexer) -> Optional[List[int]]:
-        """Each host's position, by dense index, in the ``"degree"`` trial
-        order over all hosts (``None`` for ``"sorted"``, which is the index
-        order itself).  Ties fall back to index order, so ordering any
-        candidate subset by rank equals sorting it by ``(-degree, str)``."""
-        if self._candidate_order != "degree":
-            return None
-        nodes = indexer.nodes
-        rank = [0] * len(nodes)
-        by_degree = sorted(range(len(nodes)),
-                           key=lambda i: (-hosting.degree(nodes[i]), str(nodes[i])))
-        for position, index in enumerate(by_degree):
-            rank[index] = position
-        return rank
+                              adjacency_masks={})
 
     def _patch_prepared(self, request: SearchRequest,
                         prepared: PreparedSearch, delta) -> Optional[PreparedSearch]:
@@ -165,31 +133,15 @@ class LNS(EmbeddingAlgorithm):
         allowed_masks = dict(prepared.allowed_masks)
         if (node_constraint is not None and not node_constraint.is_trivial
                 and delta.touched_nodes):
-            query = request.query
-            hosting = request.hosting
-            touched_hosts = [(host, hosting.node_attrs(host), indexer.bit(host))
-                             for host in sorted(delta.touched_nodes, key=str)
-                             if hosting.has_node(host)]
-            evaluate = node_constraint.evaluate
-            for query_node in query.nodes():
-                context = {"vNode": query.node_attrs(query_node), "rNode": None}
-                mask = allowed_masks.get(query_node, 0)
-                for host, attrs, bit in touched_hosts:
-                    context["rNode"] = attrs
-                    if evaluate(context):
-                        mask |= bit
-                    else:
-                        mask &= ~bit
-                allowed_masks[query_node] = mask
+            rescreen_nodes(request.query, request.hosting, node_constraint,
+                           indexer, delta.touched_nodes, allowed_masks)
         if any(not allowed_masks.get(node) for node in request.query.nodes()):
             return PreparedSearch(infeasible=True)
-        # The adjacency memo and the degree rank are purely structural (the
-        # memo monotone too): safe to keep sharing between the old and the
-        # patched plan.  The edge-verdict memo read the old attributes and
-        # is not carried over.
+        # The adjacency memo is purely structural (and monotone): safe to
+        # keep sharing between the old and the patched plan.  The
+        # edge-verdict memo read the old attributes and is not carried over.
         return PreparedSearch(indexer=indexer, allowed_masks=allowed_masks,
-                              adjacency_masks=prepared.adjacency_masks,
-                              degree_rank=prepared.degree_rank)
+                              adjacency_masks=prepared.adjacency_masks)
 
     def _run_prepared(self, context: SearchContext,
                       prepared: PreparedSearch) -> bool:
@@ -230,7 +182,7 @@ class LNS(EmbeddingAlgorithm):
 
         context.check_deadline()
         seed = self._seed_vertex(context)
-        hosts = self._order_candidates(prepared, prepared.allowed_masks[seed])
+        hosts = prepared.indexer.decode(prepared.allowed_masks[seed])
         context.stats.nodes_expanded += 1
         context.stats.candidates_considered += len(hosts)
         if not hosts:
@@ -337,8 +289,7 @@ class LNS(EmbeddingAlgorithm):
         new_external = external - {current} - new_neighbors
 
         if lookup is None:
-            passing = (host for host
-                       in self._order_candidates(prepared, candidates_mask)
+            passing = (host for host in indexer.decode(candidates_mask)
                        if self._connecting_edges_ok(context, query_edges,
                                                     assignment, current, host))
         else:
@@ -390,28 +341,14 @@ class LNS(EmbeddingAlgorithm):
 
         stats = context.stats
         credited = 0
-        if self._candidate_order == "sorted":
-            trials = ((index, (2 << index) - 1)
-                      for index in indexer.iter_indices(alive))
-        else:
-            trials = self._degree_trials(prepared, candidates_mask, alive)
-        for index, tried in trials:
+        for index in indexer.iter_indices(alive):
+            tried = (2 << index) - 1    # every candidate up to this host
             total = sum((mask & tried).bit_count() for mask in evaluated)
             stats.constraint_evaluations += total - credited
             credited = total
             yield indexer.node_at(index)
         stats.constraint_evaluations += (
             sum(mask.bit_count() for mask in evaluated) - credited)
-
-    def _degree_trials(self, prepared: PreparedSearch, candidates_mask: int,
-                       alive: int) -> Iterator[Tuple[int, int]]:
-        """``(host index, mask of the candidates tried up to and including
-        it)`` per *alive* host, in descending-degree trial order."""
-        tried = 0
-        for index in self._trial_indices(prepared, candidates_mask):
-            tried |= 1 << index
-            if alive >> index & 1:
-                yield index, tried
 
     # ------------------------------------------------------------------ #
 
@@ -452,18 +389,3 @@ class LNS(EmbeddingAlgorithm):
             if not context.query_edge_supported(q_source, q_target, r_source, r_target):
                 return False
         return True
-
-    def _trial_indices(self, prepared: PreparedSearch, candidates_mask: int):
-        """The dense indices of *candidates_mask*'s hosts in trial order."""
-        # Ascending index is ascending str order, the "sorted" default.
-        indices = prepared.indexer.iter_indices(candidates_mask)
-        if self._candidate_order == "sorted":
-            return indices
-        return sorted(indices, key=prepared.degree_rank.__getitem__)
-
-    def _order_candidates(self, prepared: PreparedSearch,
-                          candidates_mask: int) -> List[NodeId]:
-        """The hosts of *candidates_mask* in trial order."""
-        nodes = prepared.indexer.nodes
-        return [nodes[index]
-                for index in self._trial_indices(prepared, candidates_mask)]

@@ -176,6 +176,9 @@ def _hosting_orientation(hosting: Network, r_source: NodeId, r_target: NodeId
                          ) -> Optional[Edge]:
     """The hosting edge orientation a query edge maps onto, or ``None``.
 
+    The oracle's own statement of the rule: :func:`validate_mapping` judges
+    what the search algorithms and mapping repair produce, so it shares no
+    code with them (their copy is :func:`repro.core.base.hosting_orientation`).
     Directed hosting networks require the edge ``r_source -> r_target``;
     undirected ones accept either stored orientation and report it as
     ``(r_source, r_target)`` because edge attributes are shared.

@@ -2,13 +2,13 @@
 
 The three NETEMBED searches are embarrassingly partitionable at the
 *root-candidate* level: the first query node's candidate set is tried in a
-deterministic order (ascending bit order for ECF, the seeded shuffle for RWB,
-the configured candidate order for LNS), and the subtree under each root
-candidate is completely independent of the others.  This module splits that
-root trial order into contiguous blocks — *shards* — executes the shards on a
+deterministic order (ascending bit order for ECF and LNS, the seeded shuffle
+for RWB), and the subtree under each root candidate is completely
+independent of the others.  This module splits that root trial order into
+contiguous blocks — *shards* — executes the shards on a
 ``concurrent.futures`` process pool, and merges the per-shard mapping lists
-back together **in shard order**, so the merged stream is byte-identical to a
-serial execution for any shard count.
+back together **in shard order**, so the merged stream is byte-identical to
+a serial execution for any shard count.
 
 Design notes
 ------------
@@ -47,6 +47,12 @@ Design notes
   to in-process execution until the cooldown lapses.  Every one of these
   transitions is counted and reported by :meth:`PoolSupervisor.stats` —
   the degraded mode is observable, not silent.
+* **Thread shards.**  The pool's type is detected, not configured: a caller
+  that hands :func:`run_sharded` a ``ThreadPoolExecutor`` as ``pool=`` gets
+  shards that share its address space, so the group travels by reference
+  (``_INPROC_GROUPS``) instead of being pickled.  Under the pure-Python
+  kernel such shards are GIL-bound (correctness testing only); the numba
+  chunk loops run ``nogil``, but no thread-shard speedup has been measured.
 """
 
 from __future__ import annotations
@@ -71,22 +77,6 @@ from repro.utils.timing import Deadline, TimeoutExpired
 #: the work-stealing mechanism: subtree costs are wildly skewed, and a pool
 #: worker that finishes a cheap shard pulls the next pending one.
 DEFAULT_SHARD_FACTOR = 4
-
-#: ``REPRO_SHARD_BACKEND=thread`` swaps the shard pool for a
-#: ``ThreadPoolExecutor``.  With the pure-Python kernel threads are
-#: GIL-bound (correctness testing only); with the numba kernel the chunk
-#: loops run ``nogil``, so thread shards scale across cores while skipping
-#: both the pickle round-trip and process start-up entirely.
-_BACKEND_ENV = "REPRO_SHARD_BACKEND"
-
-
-def shard_backend() -> str:
-    """The configured shard pool backend: ``process`` (default) or ``thread``."""
-    value = os.environ.get(_BACKEND_ENV, "process").strip().lower() or "process"
-    if value not in ("process", "thread"):
-        raise ValueError(
-            f"{_BACKEND_ENV} must be 'process' or 'thread', got {value!r}")
-    return value
 
 
 # --------------------------------------------------------------------------- #
@@ -300,37 +290,17 @@ def _execute_shard(token: str, transport: GroupTransport, index: int,
 # Pool management
 # --------------------------------------------------------------------------- #
 
-def _pool_context():
-    """The multiprocessing context used for shard pools.
-
-    The platform default is used (fork on Linux up to 3.13, forkserver from
-    3.14, spawn on macOS/Windows): the engine is routinely driven from
-    multithreaded contexts — service batch threads, every
-    ``pump_mapping_stream`` producer — where forcing fork would court the
-    fork-while-threaded deadlocks the interpreter defaults are moving away
-    from.  ``REPRO_PARALLEL_START_METHOD`` overrides the choice explicitly
-    (e.g. ``fork`` for cheapest worker start on a trusted workload).
-    """
-    import multiprocessing
-
-    method = os.environ.get("REPRO_PARALLEL_START_METHOD")
-    if method:
-        return multiprocessing.get_context(method)
-    return None
-
-
 def make_pool(max_workers: Optional[int] = None) -> Executor:
     """A new shard pool (callers own its shutdown).
 
-    ``REPRO_SHARD_BACKEND=thread`` yields a ``ThreadPoolExecutor`` — shard
-    groups then travel by reference (see ``_INPROC_GROUPS``) instead of
-    being pickled.
+    A process pool on the platform's start method (fork on Linux up to 3.13,
+    forkserver from 3.14, spawn on macOS/Windows): the engine is routinely
+    driven from multithreaded contexts — service batch threads, every
+    ``pump_mapping_stream`` producer — where forcing fork would court the
+    fork-while-threaded deadlocks the interpreter defaults are moving away
+    from.
     """
-    if shard_backend() == "thread":
-        return ThreadPoolExecutor(max_workers=max_workers,
-                                  thread_name_prefix="repro-shard")
-    return ProcessPoolExecutor(max_workers=max_workers,
-                               mp_context=_pool_context())
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 _shared_pool: Optional[Executor] = None

@@ -2,7 +2,7 @@
 
 The NETEMBED service (paper §III) is a long-lived facade answering a stream
 of embedding queries against slowly-drifting network models.  Treating each
-query as a one-shot ``search()`` re-pays the whole hosting-side compilation —
+query as a one-shot ``request()`` re-pays the whole hosting-side compilation —
 indexing, arc tables, filter matrices — on every call, even though that work
 is identical for every request hitting the same model version.  This module
 splits the API in two:
@@ -81,10 +81,6 @@ class PreparedSearch:
     allowed_masks: Optional[Dict[NodeId, int]] = None
     #: LNS: memoised hosting adjacency bitmasks, shared across executes.
     adjacency_masks: Optional[Dict[NodeId, int]] = None
-    #: LNS with ``candidate_order="degree"``: each host's position (by dense
-    #: index) in the descending-degree trial order.  Structural, so a patched
-    #: plan shares it like :attr:`adjacency_masks`.
-    degree_rank: Optional[List[int]] = None
     #: Some query node has no candidate at all: every execute is an empty,
     #: provably complete search and the tree stage is skipped entirely.
     infeasible: bool = False
@@ -281,8 +277,9 @@ class EmbeddingPlan:
             ``None`` defers to the prepared request's own ``parallelism``;
             ``1`` forces serial.
         pool:
-            Process pool for the shards (``None`` = the module-wide shared
-            pool); only consulted when parallelism is in effect.
+            Executor for the shards (``None`` = the module-wide shared
+            process pool; a ``ThreadPoolExecutor`` gets thread shards); only
+            consulted when parallelism is in effect.
         """
         self.check_fresh()
         run_budget = self.request.budget if budget is None else budget

@@ -9,7 +9,8 @@ interpreter frame per query node instead of an explicit stack — which is
 what makes agreement meaningful:
 
 * **Parity.**  ``tests/test_core_bitset_parity.py`` compares the filter
-  cells, candidate sets and entry counts; ``tests/test_kernel_parity.py``
+  cells (the engine's packed blocks decoded by :func:`decode_views`) and
+  entry counts; ``tests/test_kernel_parity.py``
   and its siblings require the search kernel (:mod:`repro.core.kernel`) to
   reproduce this module's mapping streams, dict key order and every search
   counter, serial and sharded.
@@ -96,6 +97,38 @@ class ReferenceFilterMatrices:
                        next_query: NodeId) -> FrozenSet[NodeId]:
         return frozenset(self.non_match.get((placed_query, placed_host, next_query),
                                             _EMPTY_SET))
+
+
+def decode_views(filters) -> ReferenceFilterMatrices:
+    """The engine's packed :class:`~repro.core.filters.FilterMatrices`
+    decoded into the oracle's dict-of-set shape, for tests and diagnostics
+    (no search reads it; every call decodes every row).
+
+    ``match`` and ``non_match`` enumerate in one canonical order — block
+    order (query pair order, ``ab`` before ``ba``), ascending host index —
+    whether *filters* was built or patched; ``F̄`` is derived the way the
+    engine defines it, each placed host's oriented arcs minus its ``F``
+    cell, and is empty unless non-matches are recorded.  The candidate
+    algebra (:meth:`~ReferenceFilterMatrices.candidates_given`, ``cell`` …)
+    is the oracle's own, over the decoded cells.
+    """
+    indexer = filters.host_indexer
+    node_at, decode = indexer.node_at, indexer.decode_set
+    views = ReferenceFilterMatrices(
+        node_candidates={node: decode(mask) for node, mask
+                         in filters.node_candidate_masks.items()},
+        constraint_evaluations=filters.constraint_evaluations,
+        build_seconds=filters.build_seconds)
+    arc_rows = list(filters.arcs.items()) if filters.arcs is not None else []
+    for (placed, following), block in filters.blocks.items():
+        matched = dict(block.items())
+        for index, mask in matched.items():
+            views.match[(placed, node_at(index), following)] = decode(mask)
+        for index, arc_mask in arc_rows:
+            mask = arc_mask & ~matched.get(index, 0)
+            if mask:
+                views.non_match[(placed, node_at(index), following)] = decode(mask)
+    return views
 
 
 def build_filters_reference(query: QueryNetwork, hosting: HostingNetwork,

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.constraints import ConstraintExpression, edge_context, node_context
+from repro.core.base import hosting_orientation
 from repro.core.mapping import Mapping, MappingViolation, validate_mapping
 from repro.graphs.hosting import HostingNetwork
 from repro.graphs.network import Edge, NodeId
@@ -134,7 +135,7 @@ def violated_query_nodes(mapping: Mapping, query: QueryNetwork,
         r_source, r_target = assignment[q_source], assignment[q_target]
         if not hosting.has_node(r_source) or not hosting.has_node(r_target):
             continue   # already violated above
-        oriented = _hosting_orientation(hosting, r_source, r_target)
+        oriented = hosting_orientation(hosting, r_source, r_target)
         if oriented is None:
             violated.update((q_source, q_target))
             continue
@@ -276,7 +277,7 @@ def _reassign(query: QueryNetwork, hosting: HostingNetwork,
         for q_source, q_target in _incident_edges(query, node, assignment):
             r_source = host if q_source == node else assignment[q_source]
             r_target = host if q_target == node else assignment[q_target]
-            oriented = _hosting_orientation(hosting, r_source, r_target)
+            oriented = hosting_orientation(hosting, r_source, r_target)
             if oriented is None:
                 return False
             if check_constraint:
@@ -344,13 +345,3 @@ def _incident_edges(query: QueryNetwork, node: NodeId,
                 query.directed or not query.has_edge(neighbor, node)):
             edges.append((node, neighbor))
     return edges
-
-
-def _hosting_orientation(hosting: HostingNetwork, r_source: NodeId,
-                         r_target: NodeId) -> Optional[Edge]:
-    """The hosting orientation covering ``r_source -> r_target``, or ``None``."""
-    if hosting.has_edge(r_source, r_target):
-        return (r_source, r_target)
-    if not hosting.directed and hosting.has_edge(r_target, r_source):
-        return (r_source, r_target)
-    return None

@@ -2,11 +2,58 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
+from repro.api import SearchRequest
 from repro.constraints import ConstraintExpression
+from repro.core import filters as filters_module
+from repro.core import kernel
 from repro.graphs.hosting import HostingNetwork
 from repro.graphs.query import QueryNetwork
+
+#: What a successful numba load leaves in ``kernel._NUMBA`` where numba is
+#: not installable (here): the njit sources, uncompiled, stand in for their
+#: compiled forms.
+UNCOMPILED_KERNELS = {"ecf": kernel._nb_ecf_chunk,
+                      "rwb": kernel._nb_rwb_candidates}
+
+
+def search(algorithm, query, hosting, **options):
+    """One request from flat keywords (``constraint=``, ``node_constraint=``,
+    ``timeout=``, ``max_results=``) — the only call surface algorithms have."""
+    return algorithm.request(SearchRequest.build(query, hosting, **options))
+
+
+def patch_every_row(*args, **kwargs):
+    """:func:`~repro.core.filters.patch_filters` with its row-fraction
+    decline out of the way, for tests about what a patch produces however
+    much of the network the delta touched."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(filters_module, "PATCH_ROW_FRACTION", 1.0)
+        return filters_module.patch_filters(*args, **kwargs)
+
+
+@contextmanager
+def pinned_kernel(backend: str):
+    """Run the enclosed block on one kernel backend, whatever this process
+    detected: ``"python"`` hides the njit table, ``"numba"`` installs it —
+    the compiled one where numba loaded, the uncompiled sources otherwise.
+
+    A context manager rather than a fixture because ``@given`` bodies cannot
+    take function-scoped fixtures.  The pin is process-wide (thread shards
+    inside the block see it too) and undone on exit.
+    """
+    table = None
+    if backend == "numba":
+        table = kernel._load_numba() or UNCOMPILED_KERNELS
+    elif backend != "python":
+        raise ValueError(f"unknown kernel backend {backend!r}")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "_NUMBA", table)
+        patch.setattr(kernel, "_NUMBA_LOAD_TRIED", True)
+        yield
 
 
 @pytest.fixture

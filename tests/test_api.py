@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from conftest import search
 
 from repro.api import (
     AlgorithmRegistry,
@@ -111,8 +112,8 @@ class TestSearchRequest:
         request = SearchRequest.build(path_query, small_hosting,
                                       constraint=window_constraint)
         via_request = ECF().request(request)
-        via_search = ECF().search(path_query, small_hosting,
-                                  constraint=window_constraint)
+        via_search = search(ECF(), path_query, small_hosting,
+                            constraint=window_constraint)
         assert via_request.status == via_search.status
         assert sorted(via_request.mappings, key=repr) == \
             sorted(via_search.mappings, key=repr)
@@ -298,10 +299,10 @@ class TestPaperSelectionPolicy:
 class TestRWBSeed:
     def test_seed_kwarg_matches_int_rng(self, small_hosting, path_query,
                                         window_constraint):
-        by_seed = RWB(seed=11).search(path_query, small_hosting,
-                                      constraint=window_constraint, max_results=1)
-        by_rng = RWB(rng=11).search(path_query, small_hosting,
-                                    constraint=window_constraint, max_results=1)
+        by_seed = search(RWB(seed=11), path_query, small_hosting,
+                         constraint=window_constraint, max_results=1)
+        by_rng = search(RWB(rng=11), path_query, small_hosting,
+                        constraint=window_constraint, max_results=1)
         assert [m.as_dict() for m in by_seed.mappings] == \
             [m.as_dict() for m in by_rng.mappings]
 
@@ -323,8 +324,8 @@ class TestRWBSeed:
 class TestStreaming:
     def test_iter_mappings_yields_what_search_finds(self, small_hosting,
                                                     path_query, window_constraint):
-        eager = ECF().search(path_query, small_hosting,
-                             constraint=window_constraint)
+        eager = search(ECF(), path_query, small_hosting,
+                       constraint=window_constraint)
         lazy = list(ECF().iter_mappings(path_query, small_hosting,
                                         constraint=window_constraint))
         assert sorted(lazy, key=repr) == sorted(eager.mappings, key=repr)

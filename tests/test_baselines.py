@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from conftest import search
 
 from repro.baselines import (
     BASELINES,
@@ -71,31 +72,31 @@ class TestCommonHelpers:
 class TestBruteForce:
     def test_agrees_with_ecf_on_full_enumeration(self, small_hosting, path_query,
                                                  window_constraint):
-        ecf = ECF().search(path_query, small_hosting, constraint=window_constraint)
-        brute = BruteForceCSP().search(path_query, small_hosting,
-                                       constraint=window_constraint)
+        ecf = search(ECF(), path_query, small_hosting, constraint=window_constraint)
+        brute = search(BruteForceCSP(), path_query, small_hosting,
+                       constraint=window_constraint)
         assert brute.status is ResultStatus.COMPLETE
         assert set(brute.mappings) == set(ecf.mappings)
 
     def test_does_more_work_than_ecf(self, host, workload):
-        ecf = ECF().search(workload.query, host, constraint=workload.constraint,
-                           max_results=1)
-        brute = BruteForceCSP().search(workload.query, host,
-                                       constraint=workload.constraint, max_results=1)
+        ecf = search(ECF(), workload.query, host, constraint=workload.constraint,
+                     max_results=1)
+        brute = search(BruteForceCSP(), workload.query, host,
+                       constraint=workload.constraint, max_results=1)
         assert brute.found and ecf.found
         # The whole point of the filters + ordering: far fewer candidates touched.
         assert ecf.stats.candidates_considered < brute.stats.candidates_considered
 
     def test_proves_infeasibility(self, small_hosting, triangle_query):
-        result = BruteForceCSP().search(triangle_query, small_hosting)
+        result = search(BruteForceCSP(), triangle_query, small_hosting)
         assert result.proved_infeasible
 
 
 class TestMetaheuristics:
     def test_annealing_finds_feasible_embedding(self, host, workload):
         mapper = SimulatedAnnealingMapper(max_iterations=8000, restarts=3, rng=5)
-        result = mapper.search(workload.query, host, constraint=workload.constraint,
-                               timeout=30)
+        result = search(mapper, workload.query, host, constraint=workload.constraint,
+                        timeout=30)
         if result.found:
             assert is_valid_mapping(result.first, workload.query, host,
                                     workload.constraint)
@@ -109,7 +110,7 @@ class TestMetaheuristics:
         query.add_node("y")
         query.add_edge("x", "y", minDelay=1000.0, maxDelay=2000.0)
         mapper = SimulatedAnnealingMapper(max_iterations=300, restarts=1, rng=1)
-        result = mapper.search(query, small_hosting, constraint=window_constraint)
+        result = search(mapper, query, small_hosting, constraint=window_constraint)
         assert not result.found
         assert result.status is ResultStatus.INCONCLUSIVE   # not a proof
 
@@ -117,16 +118,16 @@ class TestMetaheuristics:
                                                                 path_query,
                                                                 window_constraint):
         mapper = GeneticAlgorithmMapper(population_size=30, generations=80, rng=3)
-        result = mapper.search(path_query, small_hosting,
-                               constraint=window_constraint, timeout=30)
+        result = search(mapper, path_query, small_hosting,
+                        constraint=window_constraint, timeout=30)
         assert result.found
         assert is_valid_mapping(result.first, path_query, small_hosting,
                                 window_constraint)
 
     def test_genetic_mappings_are_injective(self, host, workload):
         mapper = GeneticAlgorithmMapper(population_size=20, generations=40, rng=9)
-        result = mapper.search(workload.query, host, constraint=workload.constraint,
-                               timeout=30)
+        result = search(mapper, workload.query, host, constraint=workload.constraint,
+                        timeout=30)
         for mapping in result.mappings:
             assert mapping.is_injective()
 
@@ -144,8 +145,8 @@ class TestMetaheuristics:
 class TestStressGreedy:
     def test_valid_when_it_succeeds(self, small_hosting, path_query,
                                     window_constraint):
-        result = StressGreedyMapper().search(path_query, small_hosting,
-                                             constraint=window_constraint)
+        result = search(StressGreedyMapper(), path_query, small_hosting,
+                        constraint=window_constraint)
         if result.found:
             assert is_valid_mapping(result.first, path_query, small_hosting,
                                     window_constraint)
@@ -155,8 +156,8 @@ class TestStressGreedy:
         query.add_node("x")
         query.add_node("y")
         query.add_edge("x", "y", minDelay=5.0, maxDelay=60.0)
-        result = StressGreedyMapper().search(query, small_hosting,
-                                             constraint=window_constraint)
+        result = search(StressGreedyMapper(), query, small_hosting,
+                        constraint=window_constraint)
         assert result.found
         # cpuLoad acts as the stress metric: the chosen pair should involve the
         # lightly loaded d (0.1) or a (0.2) rather than c (0.8).
@@ -165,7 +166,7 @@ class TestStressGreedy:
 
     def test_greedy_failure_is_inconclusive_not_proof(self, small_hosting,
                                                       triangle_query):
-        result = StressGreedyMapper().search(triangle_query, small_hosting)
+        result = search(StressGreedyMapper(), triangle_query, small_hosting)
         assert not result.found
         # Structural infeasibility is caught by the cheap pre-check, which IS a
         # proof; use a constrained-but-possible query to see the greedy gap.
@@ -177,4 +178,4 @@ class TestRegistry:
         assert set(BASELINES) == {"bruteforce", "annealing", "genetic", "stress"}
         for cls in BASELINES.values():
             instance = cls()
-            assert hasattr(instance, "search")
+            assert hasattr(instance, "request")

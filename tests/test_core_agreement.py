@@ -14,6 +14,7 @@ embeddings.  These hypothesis tests check that on random instances:
 
 from __future__ import annotations
 
+from conftest import search
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.baselines import BruteForceCSP
@@ -41,8 +42,8 @@ def _instance(seed: int, host_nodes: int, query_nodes: int, slack: float = 0.4):
 def test_all_returned_mappings_are_valid(seed, host_nodes, query_nodes):
     hosting, workload = _instance(seed, host_nodes, query_nodes)
     for algorithm in (ECF(), RWB(rng=seed), LNS()):
-        result = algorithm.search(workload.query, hosting,
-                                  constraint=workload.constraint, max_results=10)
+        result = search(algorithm, workload.query, hosting,
+                        constraint=workload.constraint, max_results=10)
         for mapping in result.mappings:
             assert is_valid_mapping(mapping, workload.query, hosting,
                                     workload.constraint), algorithm.name
@@ -54,14 +55,14 @@ def test_all_returned_mappings_are_valid(seed, host_nodes, query_nodes):
        query_nodes=st.integers(min_value=2, max_value=4))
 def test_complete_algorithms_agree_on_the_solution_set(seed, host_nodes, query_nodes):
     hosting, workload = _instance(seed, host_nodes, query_nodes)
-    reference = ECF().search(workload.query, hosting, constraint=workload.constraint)
+    reference = search(ECF(), workload.query, hosting, constraint=workload.constraint)
     assert reference.status.value == "complete"
     reference_set = set(reference.mappings)
 
     for algorithm in (RWB(rng=seed), LNS(), BruteForceCSP()):
-        result = algorithm.search(workload.query, hosting,
-                                  constraint=workload.constraint,
-                                  max_results=max(1, len(reference_set)) * 5)
+        result = search(algorithm, workload.query, hosting,
+                        constraint=workload.constraint,
+                        max_results=max(1, len(reference_set)) * 5)
         # Uncapped searches that ran to completion must match exactly; capped
         # ones must be a subset.
         found = set(result.mappings)
@@ -80,8 +81,8 @@ def test_subgraph_queries_are_always_feasible(seed, host_nodes, query_nodes):
     """Sampling a query from the host guarantees an embedding exists (§VII-A)."""
     hosting, workload = _instance(seed, host_nodes, query_nodes)
     assert workload.feasible_by_construction
-    result = LNS().search(workload.query, hosting, constraint=workload.constraint,
-                          max_results=1)
+    result = search(LNS(), workload.query, hosting, constraint=workload.constraint,
+                    max_results=1)
     assert result.found
 
 
@@ -94,8 +95,8 @@ def test_infeasible_perturbations_are_proven_infeasible(seed, host_nodes, query_
     hosting, workload = _instance(seed, host_nodes, query_nodes)
     infeasible = make_globally_infeasible(workload, hosting, rng=seed)
     for algorithm in (ECF(), RWB(rng=seed), LNS()):
-        result = algorithm.search(infeasible.query, hosting,
-                                  constraint=infeasible.constraint)
+        result = search(algorithm, infeasible.query, hosting,
+                        constraint=infeasible.constraint)
         assert result.proved_infeasible, algorithm.name
 
 
@@ -111,7 +112,7 @@ def test_pure_topology_embedding_matches_networkx_subisomorphism_count(seed):
     sample = random_connected_subgraph(hosting, 3, rng=seed + 1)
     query, _ = relabel_sequential(as_query(sample, attribute_whitelist=()), prefix="q")
 
-    result = ECF().search(query, hosting)
+    result = search(ECF(), query, hosting)
     assert result.status.value == "complete"
 
     matcher = nx.algorithms.isomorphism.GraphMatcher(hosting.graph, query.graph)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from conftest import search
 
 from repro.constraints import ConstraintExpression
 from repro.core import ECF, LNS, RWB, ResultStatus, is_valid_mapping, make_algorithm
@@ -21,8 +22,8 @@ class TestBasicSearch:
     def test_finds_known_embedding(self, algorithm_cls, small_hosting, path_query,
                                    window_constraint):
         algorithm = algorithm_cls()
-        result = algorithm.search(path_query, small_hosting,
-                                  constraint=window_constraint)
+        result = search(algorithm, path_query, small_hosting,
+                        constraint=window_constraint)
         assert result.found
         for mapping in result.mappings:
             assert is_valid_mapping(mapping, path_query, small_hosting,
@@ -34,7 +35,7 @@ class TestBasicSearch:
         # The small hosting network is triangle-free, so even without
         # attribute constraints the query cannot embed — and each algorithm
         # must *prove* it (complete status, zero mappings).
-        result = algorithm_cls().search(triangle_query, small_hosting)
+        result = search(algorithm_cls(), triangle_query, small_hosting)
         assert result.status is ResultStatus.COMPLETE
         assert result.count == 0
         assert result.proved_infeasible
@@ -45,12 +46,12 @@ class TestBasicSearch:
         query = QueryNetwork("too-big")
         for index in range(small_hosting.num_nodes + 1):
             query.add_node(f"q{index}")
-        result = algorithm_cls().search(query, small_hosting)
+        result = search(algorithm_cls(), query, small_hosting)
         assert result.proved_infeasible
 
     @pytest.mark.parametrize("algorithm_cls", ALL_ALGORITHMS)
     def test_empty_query_gets_empty_mapping(self, algorithm_cls, small_hosting):
-        result = algorithm_cls().search(QueryNetwork("empty"), small_hosting)
+        result = search(algorithm_cls(), QueryNetwork("empty"), small_hosting)
         assert result.status is ResultStatus.COMPLETE
         assert result.count == 1
         assert len(result.first) == 0
@@ -59,7 +60,7 @@ class TestBasicSearch:
     def test_single_node_query(self, algorithm_cls, small_hosting):
         query = QueryNetwork("one")
         query.add_node("only")
-        result = algorithm_cls().search(query, small_hosting)
+        result = search(algorithm_cls(), query, small_hosting)
         assert result.found
         hosts = {mapping["only"] for mapping in result.mappings}
         if result.status is ResultStatus.COMPLETE and result.count > 1:
@@ -68,8 +69,8 @@ class TestBasicSearch:
     @pytest.mark.parametrize("algorithm_cls", ALL_ALGORITHMS)
     def test_max_results_caps_output(self, algorithm_cls, small_hosting, path_query,
                                      window_constraint):
-        result = algorithm_cls().search(path_query, small_hosting,
-                                        constraint=window_constraint, max_results=1)
+        result = search(algorithm_cls(), path_query, small_hosting,
+                        constraint=window_constraint, max_results=1)
         assert result.count == 1
         assert result.status in (ResultStatus.PARTIAL, ResultStatus.COMPLETE)
 
@@ -77,17 +78,17 @@ class TestBasicSearch:
     def test_node_constraint_respected(self, algorithm_cls, small_hosting, path_query,
                                        window_constraint):
         node_constraint = ConstraintExpression('rNode.osType == "linux"')
-        result = algorithm_cls().search(path_query, small_hosting,
-                                        constraint=window_constraint,
-                                        node_constraint=node_constraint)
+        result = search(algorithm_cls(), path_query, small_hosting,
+                        constraint=window_constraint,
+                        node_constraint=node_constraint)
         for mapping in result.mappings:
             for host in mapping.hosting_nodes():
                 assert small_hosting.get_node_attr(host, "osType") == "linux"
 
     @pytest.mark.parametrize("algorithm_cls", ALL_ALGORITHMS)
     def test_constraint_as_plain_string(self, algorithm_cls, small_hosting, path_query):
-        result = algorithm_cls().search(
-            path_query, small_hosting,
+        result = search(
+            algorithm_cls(), path_query, small_hosting,
             constraint="rEdge.avgDelay >= vEdge.minDelay && rEdge.avgDelay <= vEdge.maxDelay")
         assert result.found
 
@@ -95,7 +96,7 @@ class TestBasicSearch:
 class TestECFSpecifics:
     def test_enumerates_all_embeddings(self, small_hosting, path_query,
                                        window_constraint):
-        result = ECF().search(path_query, small_hosting, constraint=window_constraint)
+        result = search(ECF(), path_query, small_hosting, constraint=window_constraint)
         assert result.status is ResultStatus.COMPLETE
         # Mappings must be pairwise distinct.
         assert len(set(result.mappings)) == result.count
@@ -106,8 +107,8 @@ class TestECFSpecifics:
     def test_ordering_variants_agree_on_solution_set(self, small_hosting, path_query,
                                                      window_constraint):
         results = {
-            ordering: ECF(ordering=ordering).search(path_query, small_hosting,
-                                                    constraint=window_constraint)
+            ordering: search(ECF(ordering=ordering), path_query, small_hosting,
+                             constraint=window_constraint)
             for ordering in ("candidate-count", "connectivity", "natural")
         }
         reference = set(results["candidate-count"].mappings)
@@ -119,7 +120,7 @@ class TestECFSpecifics:
             ECF(ordering="alphabetical")
 
     def test_filter_stats_populated(self, small_hosting, path_query, window_constraint):
-        result = ECF().search(path_query, small_hosting, constraint=window_constraint)
+        result = search(ECF(), path_query, small_hosting, constraint=window_constraint)
         assert result.stats.filter_entries > 0
         assert result.stats.constraint_evaluations > 0
         assert result.stats.nodes_expanded > 0
@@ -128,56 +129,44 @@ class TestECFSpecifics:
 class TestRWBSpecifics:
     def test_default_stops_at_first_match(self, small_hosting, path_query,
                                           window_constraint):
-        result = RWB(rng=7).search(path_query, small_hosting,
-                                   constraint=window_constraint)
+        result = search(RWB(rng=7), path_query, small_hosting,
+                        constraint=window_constraint)
         assert result.count == 1
         assert result.status is ResultStatus.PARTIAL
 
     def test_explicit_cap_returns_that_many(self, small_hosting, path_query,
                                             window_constraint):
-        result = RWB(rng=7).search(path_query, small_hosting,
-                                   constraint=window_constraint, max_results=3)
+        result = search(RWB(rng=7), path_query, small_hosting,
+                        constraint=window_constraint, max_results=3)
         assert result.count == 3
 
     def test_seeded_runs_are_reproducible(self, small_hosting, path_query,
                                           window_constraint):
-        first = RWB(rng=99).search(path_query, small_hosting,
-                                   constraint=window_constraint)
-        second = RWB(rng=99).search(path_query, small_hosting,
-                                    constraint=window_constraint)
+        first = search(RWB(rng=99), path_query, small_hosting,
+                       constraint=window_constraint)
+        second = search(RWB(rng=99), path_query, small_hosting,
+                        constraint=window_constraint)
         assert first.mappings == second.mappings
 
     def test_different_seeds_can_find_different_embeddings(self, small_hosting,
                                                            path_query,
                                                            window_constraint):
-        found = {RWB(rng=seed).search(path_query, small_hosting,
-                                      constraint=window_constraint).first
+        found = {search(RWB(rng=seed), path_query, small_hosting,
+                        constraint=window_constraint).first
                  for seed in range(12)}
         assert len(found) > 1
 
     def test_proves_infeasibility_by_exhaustion(self, small_hosting, triangle_query):
-        result = RWB(rng=5).search(triangle_query, small_hosting)
+        result = search(RWB(rng=5), triangle_query, small_hosting)
         assert result.proved_infeasible
 
 
 class TestLNSSpecifics:
     def test_no_filter_matrices_are_built(self, small_hosting, path_query,
                                           window_constraint):
-        result = LNS().search(path_query, small_hosting, constraint=window_constraint)
+        result = search(LNS(), path_query, small_hosting, constraint=window_constraint)
         assert result.stats.filter_entries == 0
         assert result.found
-
-    def test_candidate_order_variants(self, small_hosting, path_query,
-                                      window_constraint):
-        sorted_result = LNS(candidate_order="sorted").search(
-            path_query, small_hosting, constraint=window_constraint)
-        degree_result = LNS(candidate_order="degree").search(
-            path_query, small_hosting, constraint=window_constraint)
-        assert set(sorted_result.mappings) == set(degree_result.mappings)
-
-    def test_invalid_candidate_order_rejected(self):
-        with pytest.raises(ValueError):
-            LNS(candidate_order="random")
 
     def test_disconnected_query_is_handled(self, small_hosting, window_constraint):
         query = QueryNetwork("two-components")
@@ -185,8 +174,8 @@ class TestLNSSpecifics:
             query.add_node(node)
         query.add_edge("m", "n", minDelay=5.0, maxDelay=35.0)
         query.add_edge("o", "p", minDelay=5.0, maxDelay=35.0)
-        result = LNS().search(query, small_hosting, constraint=window_constraint,
-                              max_results=1)
+        result = search(LNS(), query, small_hosting, constraint=window_constraint,
+                        max_results=1)
         assert result.found
         mapping = result.first
         assert is_valid_mapping(mapping, query, small_hosting, window_constraint)
@@ -209,8 +198,8 @@ class TestDirectedNetworks:
     @pytest.mark.parametrize("algorithm_cls", ALL_ALGORITHMS)
     def test_directed_edges_respected(self, algorithm_cls):
         hosting, query = self._directed_pair()
-        result = algorithm_cls().search(query, hosting,
-                                        constraint="rEdge.avgDelay <= vEdge.maxDelay")
+        result = search(algorithm_cls(), query, hosting,
+                        constraint="rEdge.avgDelay <= vEdge.maxDelay")
         assert result.found
         for mapping in result.mappings:
             assert hosting.has_edge(mapping["x"], mapping["y"])
@@ -219,7 +208,7 @@ class TestDirectedNetworks:
         query = QueryNetwork("directed", directed=True)
         query.add_node("x")
         with pytest.raises(ValueError):
-            ECF().search(query, small_hosting)
+            search(ECF(), query, small_hosting)
 
 
 class TestTimeoutsAndValidation:
@@ -227,21 +216,21 @@ class TestTimeoutsAndValidation:
                                                     window_constraint):
         # An absurdly small timeout forces the deadline path; whichever status
         # comes back must be consistent with the embeddings reported.
-        result = ECF().search(path_query, small_hosting, constraint=window_constraint,
-                              timeout=1e-9)
+        result = search(ECF(), path_query, small_hosting, constraint=window_constraint,
+                        timeout=1e-9)
         if result.timed_out:
             assert result.status in (ResultStatus.PARTIAL, ResultStatus.INCONCLUSIVE)
             assert (result.status is ResultStatus.PARTIAL) == result.found
 
     def test_invalid_arguments(self, small_hosting, path_query):
         with pytest.raises(ValueError):
-            ECF().search(path_query, small_hosting, timeout=-1)
+            search(ECF(), path_query, small_hosting, timeout=-1)
         with pytest.raises(ValueError):
-            ECF().search(path_query, small_hosting, max_results=0)
+            search(ECF(), path_query, small_hosting, max_results=0)
         with pytest.raises(TypeError):
-            ECF().search("not a query", small_hosting)
+            search(ECF(), "not a query", small_hosting)
         with pytest.raises(TypeError):
-            ECF().search(path_query, small_hosting, constraint=42)
+            search(ECF(), path_query, small_hosting, constraint=42)
 
     def test_find_first_convenience(self, small_hosting, path_query,
                                     window_constraint):

@@ -15,13 +15,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from conftest import search
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import SearchRequest
 from repro.constraints import ConstraintExpression
-from repro.core import ECF, LNS, RWB, NodeIndexer, build_filters
-from repro.core.reference import ReferenceECF, build_filters_reference
+from repro.core import ECF, LNS, RWB, NodeIndexer, build_filters, kernel
+from repro.core.base import placed_neighbor_plan
+from repro.core.reference import (ReferenceECF, build_filters_reference,
+                                  decode_views)
 from repro.graphs.hosting import HostingNetwork
 from repro.graphs.query import QueryNetwork
 
@@ -108,9 +111,10 @@ class TestFilterParity:
             query, hosting, constraint, node_constraint,
             record_non_matches=record_non_matches)
 
-        assert bitset.match == reference.match
-        assert bitset.non_match == reference.non_match
-        assert bitset.node_candidates == reference.node_candidates
+        views = decode_views(bitset)
+        assert views.match == reference.match
+        assert views.non_match == reference.non_match
+        assert views.node_candidates == reference.node_candidates
         assert bitset.entry_count == reference.entry_count
         assert bitset.cell_count == reference.cell_count
         assert bitset.constraint_evaluations == reference.constraint_evaluations
@@ -119,20 +123,34 @@ class TestFilterParity:
               suppress_health_check=[HealthCheck.too_slow])
     @given(params=workload_strategy)
     def test_candidate_algebra_matches(self, params):
-        """candidates_given/unplaced agree cell-wise with the set engine."""
+        """Expression (2) as the kernel computes it — the cell chain of a
+        :class:`~repro.core.kernel.KernelPlan` — agrees with the set
+        engine's ``candidates_given`` for arbitrary placements, and with
+        ``candidates_unplaced`` where no neighbour is placed."""
         query, hosting, constraint, node_constraint = build_workload(*params)
         bitset = build_filters(query, hosting, constraint, node_constraint)
         reference = build_filters_reference(query, hosting, constraint,
                                             node_constraint)
+        indexer = bitset.host_indexer
         hosts = hosting.nodes()
         rng = random.Random(params[0])
-        for node in query.nodes():
-            assert (bitset.candidates_unplaced(node)
-                    == reference.candidates_unplaced(node))
-            neighbors = [(n, rng.choice(hosts)) for n in query.neighbors(node)]
+        order = list(query.nodes())
+        rng.shuffle(order)
+        prior = placed_neighbor_plan(query, order)
+        plan = kernel.KernelPlan(bitset, order, prior)
+        for depth, node in enumerate(order):
+            placed = {earlier: rng.choice(hosts) for earlier in order[:depth]}
             used = set(rng.sample(hosts, k=min(2, len(hosts))))
-            assert (bitset.candidates_given(node, neighbors, used)
+            assign_idx = [indexer.index_of(placed[earlier])
+                          for earlier in order[:depth]]
+            mask = kernel.candidates_mask(plan, depth, assign_idx,
+                                          indexer.encode(used))
+            neighbors = [(n, placed[n]) for n in prior[depth]]
+            assert (indexer.decode_set(mask)
                     == reference.candidates_given(node, neighbors, used))
+            if not neighbors:
+                assert (indexer.decode_set(mask)
+                        == reference.candidates_unplaced(node) - used)
 
 
 class TestSearchStreamParity:
@@ -143,10 +161,10 @@ class TestSearchStreamParity:
         """The iterative bitmask ECF reproduces the recursive set-engine
         stream exactly: same mappings, same order, same search statistics."""
         query, hosting, constraint, node_constraint = build_workload(*params)
-        bitset = ECF().search(query, hosting, constraint=constraint,
-                              node_constraint=node_constraint)
-        reference = ReferenceECF().search(query, hosting, constraint=constraint,
-                                          node_constraint=node_constraint)
+        bitset = search(ECF(), query, hosting, constraint=constraint,
+                        node_constraint=node_constraint)
+        reference = search(ReferenceECF(), query, hosting, constraint=constraint,
+                           node_constraint=node_constraint)
         assert ([m.assignment for m in bitset.mappings]
                 == [m.assignment for m in reference.mappings])
         assert bitset.status == reference.status
@@ -160,15 +178,15 @@ class TestSearchStreamParity:
     def test_rwb_is_seed_reproducible_and_feasible(self, params, seed):
         """Same seed -> same stream; every RWB mapping is in the ECF set."""
         query, hosting, constraint, node_constraint = build_workload(*params)
-        first = RWB(rng=seed).search(query, hosting, constraint=constraint,
-                                     node_constraint=node_constraint,
-                                     max_results=3)
-        second = RWB(rng=seed).search(query, hosting, constraint=constraint,
-                                      node_constraint=node_constraint,
-                                      max_results=3)
+        first = search(RWB(rng=seed), query, hosting, constraint=constraint,
+                       node_constraint=node_constraint,
+                       max_results=3)
+        second = search(RWB(rng=seed), query, hosting, constraint=constraint,
+                        node_constraint=node_constraint,
+                        max_results=3)
         assert first.mappings == second.mappings
-        everything = ECF().search(query, hosting, constraint=constraint,
-                                  node_constraint=node_constraint)
+        everything = search(ECF(), query, hosting, constraint=constraint,
+                            node_constraint=node_constraint)
         assert set(first.mappings) <= set(everything.mappings)
 
     @settings(max_examples=15, deadline=None,
@@ -177,10 +195,10 @@ class TestSearchStreamParity:
     def test_lns_agrees_with_ecf(self, params):
         """LNS on bitmask candidates finds exactly the ECF solution set."""
         query, hosting, constraint, node_constraint = build_workload(*params)
-        lns = LNS().search(query, hosting, constraint=constraint,
-                           node_constraint=node_constraint)
-        ecf = ECF().search(query, hosting, constraint=constraint,
-                           node_constraint=node_constraint)
+        lns = search(LNS(), query, hosting, constraint=constraint,
+                     node_constraint=node_constraint)
+        ecf = search(ECF(), query, hosting, constraint=constraint,
+                     node_constraint=node_constraint)
         assert set(lns.mappings) == set(ecf.mappings)
 
 

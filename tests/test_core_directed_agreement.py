@@ -9,6 +9,7 @@ edge orientation.
 
 from __future__ import annotations
 
+from conftest import search
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.baselines import BruteForceCSP
@@ -69,13 +70,13 @@ def test_directed_solution_sets_agree(seed, host_nodes, query_nodes):
     hosting = _directed_host(seed, host_nodes)
     query = _directed_query(hosting, seed + 1, query_nodes)
 
-    reference = ECF().search(query, hosting, constraint=WINDOW)
+    reference = search(ECF(), query, hosting, constraint=WINDOW)
     assert reference.status.value == "complete"
     reference_set = set(reference.mappings)
 
     for algorithm in (RWB(rng=seed), LNS(), BruteForceCSP()):
-        result = algorithm.search(query, hosting, constraint=WINDOW,
-                                  max_results=max(len(reference_set), 1) * 4)
+        result = search(algorithm, query, hosting, constraint=WINDOW,
+                        max_results=max(len(reference_set), 1) * 4)
         found = set(result.mappings)
         if result.status.value == "complete":
             assert found == reference_set, algorithm.name
@@ -101,7 +102,7 @@ def test_directed_queries_with_edges_in_both_directions(seed):
     query.add_edge("x", "y", minDelay=0.0, maxDelay=100.0)
     query.add_edge("y", "x", minDelay=0.0, maxDelay=100.0)
 
-    result = ECF().search(query, hosting, constraint=WINDOW)
+    result = search(ECF(), query, hosting, constraint=WINDOW)
     assert result.status.value == "complete"
     for mapping in result.mappings:
         assert hosting.has_edge(mapping["x"], mapping["y"])

@@ -45,7 +45,7 @@ class TestCandidateCountOrder:
                                                window_constraint):
         filters = build_filters(path_query, small_hosting, window_constraint)
         order = candidate_count_order(path_query, filters)
-        counts = [len(filters.node_candidates[node]) for node in order]
+        counts = [filters.candidate_count(node) for node in order]
         assert counts == sorted(counts)
         assert set(order) == set(path_query.nodes())
 

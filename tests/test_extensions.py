@@ -4,6 +4,7 @@ domain partitioning."""
 from __future__ import annotations
 
 import pytest
+from conftest import search
 
 from repro.core import ECF, LNS, Mapping
 from repro.extensions import (
@@ -44,7 +45,7 @@ class TestOptimizer:
 
     def test_ranking_orders_by_cost(self, small_hosting, path_query,
                                     window_constraint):
-        result = ECF().search(path_query, small_hosting, constraint=window_constraint)
+        result = search(ECF(), path_query, small_hosting, constraint=window_constraint)
         ranked = rank_mappings(result, path_query, small_hosting, total_delay_cost)
         assert len(ranked) == result.count
         costs = [entry.cost for entry in ranked]
@@ -93,8 +94,8 @@ class TestPathMapping:
         query.add_edge("q", "r", maxDelay=200.0)
         query.add_edge("p", "r", maxDelay=200.0)
 
-        direct = ECF().search(query, small_hosting,
-                              constraint="rEdge.avgDelay <= vEdge.maxDelay")
+        direct = search(ECF(), query, small_hosting,
+                        constraint="rEdge.avgDelay <= vEdge.maxDelay")
         assert direct.proved_infeasible
 
         embedder = PathEmbedder(algorithm=ECF(), max_hops=2)

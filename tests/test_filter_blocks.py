@@ -30,6 +30,7 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import patch_every_row, pinned_kernel
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -41,7 +42,6 @@ from repro.core import (
     build_filters,
     compile_hosting,
     kernel,
-    patch_filters,
 )
 from repro.core import filters as filters_module
 from repro.core.base import placed_neighbor_plan
@@ -51,6 +51,7 @@ from repro.core.reference import (
     ReferenceECF,
     ReferenceRWB,
     build_filters_reference,
+    decode_views,
 )
 from repro.core.words import mask_to_words, pack_masks
 from repro.graphs.hosting import HostingNetwork
@@ -187,26 +188,26 @@ class TestPatchedBlocksEqualRebuilt:
                 swap_h0_edges(hosting, workload)
             else:
                 attr_churn(hosting, rng, 6)
-            filters = patch_filters(before, query, hosting, WINDOW,
-                                    node_constraint,
-                                    delta=hosting.delta_since(epoch),
-                                    max_row_fraction=1.0)
+            filters = patch_every_row(before, query, hosting, WINDOW,
+                                      node_constraint,
+                                      delta=hosting.delta_since(epoch))
             assert filters is not None
 
             rebuilt = build_filters(query, hosting, WINDOW, node_constraint,
                                     record_non_matches=record_non_matches)
             assert_blocks_equal(filters, rebuilt)
-            assert (list(filters.match_masks.items())
-                    == list(rebuilt.match_masks.items()))
+            views = decode_views(filters)
+            assert (list(views.match.items())
+                    == list(decode_views(rebuilt).match.items()))
             assert filters.node_candidate_masks == rebuilt.node_candidate_masks
             assert filters.node_allowed_masks == rebuilt.node_allowed_masks
 
             reference = build_filters_reference(
                 query, hosting, WINDOW, node_constraint,
                 record_non_matches=record_non_matches)
-            assert filters.match == reference.match
-            assert filters.non_match == reference.non_match
-            assert filters.node_candidates == reference.node_candidates
+            assert views.match == reference.match
+            assert views.non_match == reference.non_match
+            assert views.node_candidates == reference.node_candidates
             assert filters.entry_count == reference.entry_count
             assert filters.cell_count == reference.cell_count
 
@@ -217,11 +218,11 @@ class TestPatchedBlocksEqualRebuilt:
             filters = build_filters(query, hosting, WINDOW, None)
             epoch = hosting.mutation_count
             swap_h0_edges(hosting, flip)
-            patched = patch_filters(filters, query, hosting, WINDOW, None,
-                                    delta=hosting.delta_since(epoch),
-                                    max_row_fraction=1.0)
-            assert patched.cell("q0", "h0", "q1") != filters.cell("q0", "h0", "q1")
-            assert patched.cell("q0", "h0", "q1")      # emptied, then re-filled
+            patched = patch_every_row(filters, query, hosting, WINDOW, None,
+                                      delta=hosting.delta_since(epoch))
+            before = decode_views(filters).cell("q0", "h0", "q1")
+            after = decode_views(patched).cell("q0", "h0", "q1")
+            assert after and after != before      # emptied, then re-filled
 
 
 # --------------------------------------------------------------------------- #
@@ -288,9 +289,8 @@ class TestScalarProducerParity:
         filters = build_filters(query, hosting, WINDOW, UP)
         epoch = hosting.mutation_count
         attr_churn(hosting, random.Random(5), 8)
-        patched = patch_filters(filters, query, hosting, WINDOW, UP,
-                                delta=hosting.delta_since(epoch),
-                                max_row_fraction=1.0)
+        patched = patch_every_row(filters, query, hosting, WINDOW, UP,
+                                  delta=hosting.delta_since(epoch))
         assert_blocks_equal(patched, build_filters(query, hosting, WINDOW, UP))
 
 
@@ -459,10 +459,9 @@ class TestSymmetricPairsShareOneBlock:
             for _ in range(2):
                 hosting.update_node(rng.choice(hosting.nodes()),
                                     cpu=rng.randint(1, 4))
-            filters = patch_filters(filters, query, hosting, WINDOW,
-                                    node_constraint,
-                                    delta=hosting.delta_since(epoch),
-                                    max_row_fraction=1.0)
+            filters = patch_every_row(filters, query, hosting, WINDOW,
+                                      node_constraint,
+                                      delta=hosting.delta_since(epoch))
             rebuilt = build_filters(query, hosting, WINDOW, node_constraint)
             assert_blocks_equal(filters, rebuilt)
             assert shared_pairs(filters) == shared_pairs(rebuilt)
@@ -492,7 +491,9 @@ class TestKernelWordArrays:
         assert nw == word_count(len(hosting.nodes()))
         assert match_words.dtype == np.uint64 and match_words.shape[1] == nw
 
-        cells = filters.match_masks
+        encode = filters.host_indexer.encode
+        cells = {key: encode(hosts)
+                 for key, hosts in decode_views(filters).match.items()}
         hosts = filters.host_indexer.nodes
         slot = 0
         empty_cells = 0
@@ -519,7 +520,7 @@ class TestKernelWordArrays:
 
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_word_kernels_reproduce_the_legacy_streams(self, seed, monkeypatch):
+    def test_word_kernels_reproduce_the_legacy_streams(self, seed):
         """Drive the word-array search path end to end against the original
         engine (the recursive set-semantics searches of
         ``core/reference.py``).  Without numba the kernel sources run
@@ -538,13 +539,9 @@ class TestKernelWordArrays:
                                      (lambda: RWB(seed=7),
                                       lambda: ReferenceRWB(rng=7))):
             legacy = make_reference().request(request)
-            with monkeypatch.context() as patch, warnings.catch_warnings():
+            with pinned_kernel("numba"), warnings.catch_warnings():
                 # uint64 popcount multiplies wrap by design.
                 warnings.simplefilter("ignore", RuntimeWarning)
-                patch.setattr(kernel, "_NUMBA",
-                              {"ecf": kernel._nb_ecf_chunk,
-                               "rwb": kernel._nb_rwb_candidates})
-                patch.setattr(kernel, "_BACKEND", "numba")
                 words = make().request(request)
             assert signature(words) == signature(legacy)
 
@@ -580,9 +577,10 @@ class TestSparseHostBytes:
             assert block.nbytes <= cells * num_words * 8 + 8 * num_hosts
             assert block.nbytes < num_hosts * num_words * 8 // 2   # vs dense
         assert filters.cell_count == 4 * (num_hosts // 6)
-        assert filters.cell("a", "h0000", "b") == {"h0001"}
-        assert filters.cell("a", "h0001", "b") == {"h0000"}
-        assert filters.cell("a", "h0002", "b") == frozenset()
+        views = decode_views(filters)
+        assert views.cell("a", "h0000", "b") == {"h0001"}
+        assert views.cell("a", "h0001", "b") == {"h0000"}
+        assert views.cell("a", "h0002", "b") == frozenset()
         assert filters.candidate_count("a") == 2 * (num_hosts // 6)
 
 
@@ -628,8 +626,7 @@ class TestShardPayload:
             for key, block in clone.blocks.items():
                 assert not np.shares_memory(block.words,
                                             filters.blocks[key].words)
-            assert clone.match_masks == filters.match_masks
-            assert clone.non_match_masks == filters.non_match_masks
+            assert clone.arcs == filters.arcs
             assert clone.node_candidate_masks == filters.node_candidate_masks
             assert clone.entry_count == filters.entry_count
             assert clone.patches == filters.patches
@@ -647,7 +644,7 @@ class TestPlanLifetime:
         gc.collect()
         gc.disable()
         try:
-            with kernel.forced("python"):
+            with pinned_kernel("python"):
                 plan = ECF().prepare(request)
                 plan.execute()
             prepared = plan.prepared

@@ -13,10 +13,12 @@ refresh routing.
 
 from __future__ import annotations
 
+import copy
 import pickle
 import random
 
 import pytest
+from conftest import patch_every_row
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +33,7 @@ from repro.core import (
     compile_hosting,
     patch_filters,
 )
+from repro.core import filters as filters_module
 from repro.graphs import MutationJournal
 from repro.graphs.hosting import HostingNetwork
 from repro.graphs.journal import EDGE_ATTRS, NODE_ATTRS
@@ -99,8 +102,8 @@ def apply_attr_churn(hosting: HostingNetwork, seed: int, steps: int) -> None:
 
 def assert_filters_identical(patched, rebuilt):
     """Element-identity, the acceptance criterion of the patch path."""
-    assert patched.match_masks == rebuilt.match_masks
-    assert patched.non_match_masks == rebuilt.non_match_masks
+    assert patched.blocks == rebuilt.blocks       # CellBlock: array equality
+    assert patched.arcs == rebuilt.arcs           # F̄ is arcs minus F
     assert patched.node_candidate_masks == rebuilt.node_candidate_masks
     assert patched.node_allowed_masks == rebuilt.node_allowed_masks
     assert patched.entry_count == rebuilt.entry_count
@@ -213,9 +216,8 @@ class TestFilterPatchParity:
         delta = hosting.delta_since(epoch)
         assert delta is not None and delta.attrs_only
 
-        patched = patch_filters(filters, query, hosting, constraint,
-                                node_constraint, delta=delta,
-                                max_row_fraction=1.0)
+        patched = patch_every_row(filters, query, hosting, constraint,
+                                  node_constraint, delta=delta)
         assert patched is not None
         rebuilt = build_filters(query, hosting, constraint, node_constraint,
                                 record_non_matches=record_non_matches)
@@ -232,9 +234,8 @@ class TestFilterPatchParity:
         for round_index in range(4):
             apply_attr_churn(hosting, churn_seed + round_index, 5)
             delta = hosting.delta_since(epoch)
-            filters = patch_filters(filters, query, hosting, constraint,
-                                    node_constraint, delta=delta,
-                                    max_row_fraction=1.0)
+            filters = patch_every_row(filters, query, hosting, constraint,
+                                      node_constraint, delta=delta)
             assert filters is not None
             epoch = hosting.mutation_count
         rebuilt = build_filters(query, hosting, constraint, node_constraint)
@@ -253,7 +254,7 @@ class TestFilterPatchParity:
                                 delta=hosting.delta_since(epoch))
         assert patched is filters   # no copy, no re-evaluation
 
-    def test_patch_declines_structural_and_oversized_deltas(self):
+    def test_patch_declines_structural_and_oversized_deltas(self, monkeypatch):
         query, hosting, constraint, node_constraint = build_workload(4, True)
         filters = build_filters(query, hosting, constraint, node_constraint)
         epoch = hosting.mutation_count
@@ -269,24 +270,23 @@ class TestFilterPatchParity:
         epoch = hosting.mutation_count
         for u, v in hosting.edges():
             hosting.update_edge(u, v, avgDelay=1.0)
+        monkeypatch.setattr(filters_module, "PATCH_ROW_FRACTION", 0.1)
         assert patch_filters(filters, query, hosting, constraint,
                              node_constraint,
-                             delta=hosting.delta_since(epoch),
-                             max_row_fraction=0.1) is None
+                             delta=hosting.delta_since(epoch)) is None
 
     def test_patch_never_mutates_the_input_filters(self):
         query, hosting, constraint, node_constraint = build_workload(5, True)
         filters = build_filters(query, hosting, constraint, node_constraint)
         epoch = hosting.mutation_count
-        before = (dict(filters.match_masks), dict(filters.non_match_masks),
-                  dict(filters.node_candidate_masks))
+        before = copy.deepcopy((filters.blocks, filters.arcs,
+                                filters.node_candidate_masks))
         apply_attr_churn(hosting, 7, 10)
-        patched = patch_filters(filters, query, hosting, constraint,
-                                node_constraint,
-                                delta=hosting.delta_since(epoch),
-                                max_row_fraction=1.0)
+        patched = patch_every_row(filters, query, hosting, constraint,
+                                  node_constraint,
+                                  delta=hosting.delta_since(epoch))
         assert patched is not None and patched is not filters
-        assert (filters.match_masks, filters.non_match_masks,
+        assert (filters.blocks, filters.arcs,
                 filters.node_candidate_masks) == before
 
 

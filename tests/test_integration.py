@@ -8,6 +8,7 @@ candidate space; the full experiment harness feeding the reporting layer.
 from __future__ import annotations
 
 import pytest
+from conftest import search
 
 from repro import (
     ECF,
@@ -147,8 +148,8 @@ class TestReservationFlow:
 class TestOptimisationFlow:
     def test_min_delay_embedding_is_selected(self, hosting):
         workload = subgraph_query(hosting, 5, rng=31)
-        result = ECF().search(workload.query, hosting, constraint=workload.constraint,
-                              max_results=25)
+        result = search(ECF(), workload.query, hosting, constraint=workload.constraint,
+                        max_results=25)
         assert result.found
         best = best_mapping(result, workload.query, hosting, total_delay_cost)
         costs = [total_delay_cost(workload.query, hosting, m) for m in result.mappings]

@@ -9,10 +9,18 @@ sharded execution.
 
 from __future__ import annotations
 
+import ast
+import os
 import random
+import subprocess
+import sys
+import threading
 import warnings
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
+from conftest import UNCOMPILED_KERNELS, pinned_kernel
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -20,17 +28,15 @@ from repro.api import SearchRequest
 from repro.api.request import Budget
 from repro.constraints import ConstraintExpression
 from repro.core import ECF, RWB
-from repro.core import kernel
-from repro.core.reference import ReferenceECF, ReferenceRWB
+from repro.core import filters as filters_module
+from repro.core import kernel, parallel
+from repro.core.reference import ReferenceECF, ReferenceRWB, decode_views
 from repro.graphs.hosting import HostingNetwork
 from repro.graphs.query import QueryNetwork
 
 WINDOW = ConstraintExpression(
     "rEdge.avgDelay >= vEdge.minDelay && rEdge.avgDelay <= vEdge.maxDelay")
-#: What a successful numba load leaves in ``kernel._NUMBA`` (numba is not
-#: installable here, so the sources stand in for their compiled forms).
-UNCOMPILED_KERNELS = {"ecf": kernel._nb_ecf_chunk,
-                      "rwb": kernel._nb_rwb_candidates}
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def random_workload(seed: int, min_hosts: int = 6, max_hosts: int = 14):
@@ -85,7 +91,7 @@ def run(name: str, query, hosting, backend: str, seed: int = 0,
     request = build_request(name, query, hosting, cap)
     algo = RWB() if name == "RWB" else ECF()
     rng = seed if name == "RWB" else None
-    with kernel.forced(backend):
+    with pinned_kernel(backend):
         plan = algo.prepare(request)
         if parallelism:
             return plan.execute(parallelism=parallelism, rng=rng)
@@ -169,110 +175,161 @@ class TestShardedKernelParity:
         assert observables(reference) == observables(sharded)
 
     @pytest.mark.parametrize("name", ["ECF", "RWB"])
-    def test_thread_shards_match_serial(self, name, monkeypatch):
-        from repro.core import parallel
-
-        monkeypatch.setenv("REPRO_SHARD_BACKEND", "thread")
-        assert parallel.shard_backend() == "thread"
-        pool = parallel.make_pool(2)
-        from concurrent.futures import ThreadPoolExecutor
-
-        assert isinstance(pool, ThreadPoolExecutor)
-        try:
-            query, hosting = random_workload(23, min_hosts=10, max_hosts=12)
-            budget = Budget(max_results=10 ** 6) if name == "RWB" else Budget()
-            request = SearchRequest.build(query, hosting, constraint=WINDOW,
-                                          budget=budget)
-            algo = RWB() if name == "RWB" else ECF()
-            rng = 5 if name == "RWB" else None
-            serial = algo.prepare(request).execute(rng=rng)
+    def test_thread_shards_match_serial(self, name):
+        """Thread shards are asked for by handing over a thread pool —
+        ``run_sharded`` reads the executor's type, nothing else."""
+        query, hosting = random_workload(23, min_hosts=10, max_hosts=12)
+        reference = run_reference(name, query, hosting, seed=5)
+        request = build_request(name, query, hosting)
+        algo = RWB() if name == "RWB" else ECF()
+        rng = 5 if name == "RWB" else None
+        serial = algo.prepare(request).execute(rng=rng)
+        with ThreadPoolExecutor(2) as pool:
             sharded = algo.prepare(request).execute(parallelism=2, pool=pool,
                                                     rng=rng)
-            assert observables(serial) == observables(sharded)
             assert not parallel._INPROC_GROUPS  # popped when the run ended
+        assert observables(serial) == observables(sharded)
+        assert observables(reference) == observables(sharded)
+
+    @pytest.mark.parametrize("name", ["ECF", "RWB"])
+    def test_thread_shards_on_the_word_kernel_match_the_reference(self, name):
+        """The word kernel (its njit sources, uncompiled where numba is not
+        installed) under thread shards: the pin is process-wide, so the
+        shards run the same kernel the serial walk does."""
+        query, hosting = random_workload(23, min_hosts=10, max_hosts=12)
+        reference = run_reference(name, query, hosting, seed=5)
+        request = build_request(name, query, hosting)
+        algo = RWB() if name == "RWB" else ECF()
+        rng = 5 if name == "RWB" else None
+        with pinned_kernel("numba"), warnings.catch_warnings():
+            # uint64 popcount multiplies wrap by design.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            serial = algo.prepare(request).execute(rng=rng)
+            with ThreadPoolExecutor(2) as pool:
+                sharded = algo.prepare(request).execute(
+                    parallelism=2, pool=pool, rng=rng)
+        assert observables(reference) == observables(serial)
+        assert observables(reference) == observables(sharded)
+
+    def test_make_pool_is_a_process_pool_whatever_the_environment_says(
+            self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHARD_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_PARALLEL_START_METHOD", "no-such-method")
+        pool = parallel.make_pool(1)
+        try:
+            assert isinstance(pool, ProcessPoolExecutor)
+            assert pool.submit(int, "7").result(timeout=60) == 7
         finally:
             pool.shutdown()
 
-    def test_invalid_shard_backend_rejected(self, monkeypatch):
-        from repro.core import parallel
-
-        monkeypatch.setenv("REPRO_SHARD_BACKEND", "fibers")
-        with pytest.raises(ValueError):
-            parallel.shard_backend()
-
 
 # --------------------------------------------------------------------------- #
-# Backend selection
+# Backend detection
 # --------------------------------------------------------------------------- #
+
+def test_the_engine_reads_no_environment_variable():
+    """No ``os.environ`` / ``os.getenv`` anywhere under ``src/repro``: what
+    the engine does is decided by its inputs and by what it detects."""
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("environ", "getenv", "putenv")) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and any(alias.name in ("environ", "getenv")
+                            for alias in node.names)):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offenders == []
+
+
 
 class TestBackendSelection:
+    """The backend is a fact — whether the njit table loaded — not a
+    setting: nothing selects it, and the environment is never read."""
+
     def test_env_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
-        assert kernel._init_from_env() == "python"
-        monkeypatch.delenv("REPRO_KERNEL")
-        assert kernel._init_from_env() in ("python", "numba")
+        """``REPRO_KERNEL`` once selected the backend; now no value of it,
+        valid or not, takes part in the resolution."""
+        detected = kernel.active_backend()
+        for value in ("python", "numba", "fortran"):
+            monkeypatch.setenv("REPRO_KERNEL", value)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert kernel.active_backend() == detected
+                assert "env" not in kernel.describe()
 
-    def test_invalid_env_warns_and_uses_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "fortran")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            backend = kernel._init_from_env()
-        assert backend in ("python", "numba")
-        assert any(issubclass(w.category, RuntimeWarning) for w in caught)
+    def test_import_reads_no_environment_and_probes_nothing(self):
+        """Importing ``repro`` with a bogus ``REPRO_KERNEL`` warns of nothing
+        and leaves the numba probe for the first search to make."""
+        env = dict(os.environ, REPRO_KERNEL="bogus", PYTHONPATH=str(SRC))
+        code = ("import repro, repro.core.kernel as kernel\n"
+                "assert kernel._NUMBA_LOAD_TRIED is False\n"
+                "assert kernel._NUMBA is None\n"
+                "kernel.active_backend()\n"
+                "assert kernel._NUMBA_LOAD_TRIED is True\n")
+        done = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
 
-    def test_legacy_is_no_longer_a_backend(self, monkeypatch):
-        """``legacy`` once selected a second engine; now it is one more
-        unknown value: the env var warns and resolves to ``auto``, the
-        programmatic switches raise."""
-        monkeypatch.setenv("REPRO_KERNEL", "legacy")
-        with pytest.warns(RuntimeWarning, match="unknown REPRO_KERNEL"):
-            assert kernel._init_from_env() in ("python", "numba")
-        before = kernel.active_backend()
-        with pytest.raises(ValueError):
-            kernel.set_backend("legacy")
-        with pytest.raises(ValueError):
-            with kernel.forced("legacy"):
-                pass
-        assert kernel.active_backend() == before
+    @pytest.mark.parametrize("backend", ["python", "numba"])
+    def test_backend_is_whether_the_table_is_loaded(self, backend):
+        with pinned_kernel(backend):
+            assert kernel.active_backend() == backend
+            assert kernel.numba_available() is (backend == "numba")
+            assert (kernel._NUMBA is not None) is (backend == "numba")
+            described = kernel.describe()
+            assert (described["backend"], described["numba_available"]) \
+                == (backend, backend == "numba")
 
-    def test_forced_restores_previous_backend(self, monkeypatch):
-        # The njit sources, uncompiled, stand in for a loaded numba table so
-        # the restore has somewhere other than "python" to go back to.
-        monkeypatch.setattr(kernel, "_NUMBA", UNCOMPILED_KERNELS)
-        monkeypatch.setattr(kernel, "_BACKEND", "numba")
-        with kernel.forced("python"):
-            assert kernel.active_backend() == "python"
-        assert kernel.active_backend() == "numba"
+    def test_racing_threads_resolve_once(self, monkeypatch):
+        """Threads racing the first resolution make one probe between them
+        and all read its answer."""
+        loads = []
+
+        def slow_compile(_numba):
+            loads.append(threading.get_ident())
+            release.wait(timeout=30)
+            return UNCOMPILED_KERNELS
+
+        release = threading.Event()
+        monkeypatch.setattr(kernel, "_NUMBA", None)
+        monkeypatch.setattr(kernel, "_NUMBA_LOAD_TRIED", False)
+        monkeypatch.setattr(kernel, "_compile_numba", slow_compile)
+        monkeypatch.setitem(sys.modules, "numba", object())
+        answers = []
+        threads = [threading.Thread(
+            target=lambda: answers.append(kernel.active_backend()))
+            for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        release.set()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert len(loads) == 1
+        assert answers == ["numba"] * 8
+        assert kernel._NUMBA is UNCOMPILED_KERNELS
 
     def test_require_backend(self):
         kernel.require_backend(kernel.active_backend())
-        with pytest.raises(RuntimeError):
-            with kernel.forced("python"):
+        with pinned_kernel("python"):
+            kernel.require_backend("python")
+            with pytest.raises(RuntimeError):
                 kernel.require_backend("numba")
 
-    @pytest.mark.skipif(kernel.numba_available(), reason="numba is installed")
-    def test_numba_request_without_numba_warns_and_falls_back(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with kernel.forced("numba"):
-                assert kernel.active_backend() == "python"
-        assert any(issubclass(w.category, RuntimeWarning) for w in caught)
-
     def test_numba_availability_is_a_call_time_fact(self, monkeypatch):
-        """Under ``REPRO_KERNEL=python`` nothing probes numba at import; a
-        later probe (``set_backend("numba")``, ``describe()``) must still be
-        believed — availability cannot be frozen when the module loads."""
-        monkeypatch.setattr(kernel, "_BACKEND", "python")
+        """Nothing probes numba at import; whatever the probe finds when it
+        is finally made must be believed — availability cannot be frozen when
+        the module loads."""
         monkeypatch.setattr(kernel, "_NUMBA", None)
         monkeypatch.setattr(kernel, "_NUMBA_LOAD_TRIED", True)   # probe failed
         assert kernel.numba_available() is False
         assert kernel.describe()["numba_available"] is False
-        with pytest.warns(RuntimeWarning):
-            assert kernel.set_backend("numba") == "python"
+        assert kernel.active_backend() == "python"
 
         monkeypatch.setattr(kernel, "_NUMBA", UNCOMPILED_KERNELS)  # it worked
         assert kernel.numba_available() is True
-        assert kernel.set_backend("numba") == "numba"
         described = kernel.describe()
         assert (described["backend"], described["numba_available"]) \
             == ("numba", True)
@@ -304,7 +361,7 @@ class TestPatchedWordParity:
         query.add_edge("q0", "q1", minDelay=5.0, maxDelay=30.0)
         return query, hosting
 
-    def test_patch_reorder_keeps_word_rows_aligned(self):
+    def test_patch_reorder_keeps_word_rows_aligned(self, monkeypatch):
         # One touched row of this patch empties h0's cell and another row
         # of the SAME patch re-fills it.  When cells were dict entries that
         # deleted the key and re-inserted it at the end — identical key
@@ -316,6 +373,7 @@ class TestPatchedWordParity:
         from repro.core import build_filters
         from repro.core.filters import patch_filters
 
+        monkeypatch.setattr(filters_module, "PATCH_ROW_FRACTION", 1.0)
         for flip in (False, True):
             query, hosting = self._reorder_workload(flip)
             filters = build_filters(query, hosting, WINDOW, None)
@@ -328,12 +386,15 @@ class TestPatchedWordParity:
             delta = hosting.delta_since(epoch)
             assert delta is not None and delta.attrs_only
             patched = patch_filters(filters, query, hosting, WINDOW, None,
-                                    delta=delta, max_row_fraction=1.0)
+                                    delta=delta)
             assert patched is not None
-            assert patched.match_masks != filters.match_masks   # h0 moved
+            assert patched.blocks != filters.blocks   # h0 moved
             rebuilt = build_filters(query, hosting, WINDOW, None)
-            assert (list(patched.match_masks.items())
-                    == list(rebuilt.match_masks.items()))
-            assert (list(patched.non_match_masks.items())
-                    == list(rebuilt.non_match_masks.items()))
+            assert patched.blocks == rebuilt.blocks
+            patched_views, rebuilt_views = (decode_views(patched),
+                                            decode_views(rebuilt))
+            assert (list(patched_views.match.items())
+                    == list(rebuilt_views.match.items()))
+            assert (list(patched_views.non_match.items())
+                    == list(rebuilt_views.non_match.items()))
             assert patched.node_candidate_masks == rebuilt.node_candidate_masks

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import pickle
 import random
-import warnings
 
 import pytest
+from conftest import pinned_kernel, search
 
 from repro.constraints import ConstraintExpression
 from repro.constraints.vectorizer import HAVE_NUMPY, np
 from repro.api import SearchRequest
 from repro.core import ECF, LNS, build_filters, compile_hosting
-from repro.core import kernel
 from repro.core.indexing import WORD_BITS, word_count
 from repro.core.reference import ReferenceECF
 from repro.graphs.hosting import HostingNetwork
@@ -127,10 +126,8 @@ def search_signature(result):
 
 
 def ecf_search(query, hosting, backend):
-    with kernel.forced(backend):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            return ECF().search(query, hosting, constraint=WINDOW)
+    with pinned_kernel(backend):
+        return search(ECF(), query, hosting, constraint=WINDOW)
 
 
 def reference_search(query, hosting):
@@ -170,7 +167,7 @@ class TestWordBoundaries:
         never = build_filters(
             query, hosting,
             ConstraintExpression("rEdge.avgDelay >= 1000.0"), None)
-        assert all(mask == 0 for mask in never.match_masks.values())
+        assert all(block.count == 0 for block in never.blocks.values())
 
     def test_node_removal_empties_trailing_word(self):
         # 65 hosts: h64 is alone in the second word.  Remove it and rebuild;
@@ -197,8 +194,8 @@ class TestPickleHygiene:
         query, hosting = ring_workload(65)
         filters = build_filters(query, hosting, WINDOW, None)
         clone = pickle.loads(pickle.dumps(filters))
-        assert clone.match_masks == filters.match_masks
-        assert clone.non_match_masks == filters.non_match_masks
+        assert clone.blocks == filters.blocks
+        assert clone.arcs == filters.arcs
         assert clone.node_candidate_masks == filters.node_candidate_masks
         assert clone.node_allowed_masks == filters.node_allowed_masks
 

@@ -22,13 +22,14 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from conftest import pinned_kernel
 
 from repro.api import SearchRequest
 from repro.api.request import Budget
 from repro.constraints import ConstraintExpression
 from repro.core import ECF, RWB, build_filters, kernel, parallel
 from repro.core.base import placed_neighbor_plan
-from repro.core.reference import ReferenceECF, ReferenceRWB
+from repro.core.reference import ReferenceECF, ReferenceRWB, decode_views
 from repro.graphs.hosting import HostingNetwork
 from repro.graphs.query import QueryNetwork
 
@@ -79,7 +80,7 @@ class TestDecodeOnFirstRead:
         query, hosting = workload(1)
         request = SearchRequest.build(query, hosting, constraint=WINDOW,
                                       max_results=4)
-        with kernel.forced("python"):
+        with pinned_kernel("python"):
             embedding = ECF().prepare(request)
             plan = embedding.prepared.kernel_plan()
             assert decoded_masks(plan) == 0
@@ -96,7 +97,7 @@ class TestDecodeOnFirstRead:
 
         # A second run over the held plan reads what the first one kept.
         before = decoded_masks(plan)
-        with kernel.forced("python"):
+        with pinned_kernel("python"):
             again = embedding.execute()
         assert observables(again) == observables(result)
         assert decoded_masks(plan) == before
@@ -108,13 +109,15 @@ class TestDecodeOnFirstRead:
         prior = placed_neighbor_plan(query, order)
         plan = kernel.KernelPlan(filters, order, prior)
         hosts = filters.host_indexer.nodes
+        views = decode_views(filters)     # every row, decoded another way
         empty = 0
         for node, neighbors, slots in zip(order, prior, plan.cell_tables):
             assert (slots is None) == (not neighbors)
             for neighbor, (nb_depth, cells) in zip(neighbors, slots or ()):
                 assert order[nb_depth] == neighbor
                 for index, host in enumerate(hosts):
-                    expected = filters.cell_mask(neighbor, host, node)
+                    expected = filters.host_indexer.encode(
+                        views.cell(neighbor, host, node))
                     assert cells[index] == expected
                     empty += not expected
                 assert len(cells) == len(hosts)
@@ -159,7 +162,7 @@ class TestStreamsAndCounters:
 
     def execute(self, name: str, request, seed: int, **how):
         algorithm = RWB() if name == "RWB" else ECF()
-        with kernel.forced("python"):
+        with pinned_kernel("python"):
             return observables(algorithm.prepare(request).execute(
                 rng=seed if name == "RWB" else None, **how))
 
@@ -173,14 +176,10 @@ class TestStreamsAndCounters:
                             parallelism=PARALLELISM) == expected
 
     @pytest.mark.parametrize("name", ["ECF", "RWB"])
-    def test_thread_shards_fill_one_plan(self, name, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_BACKEND", "thread")
-        pool = parallel.make_pool(PARALLELISM)
-        assert isinstance(pool, ThreadPoolExecutor)
-        try:
-            request = self.request(name, 3)
+    def test_thread_shards_fill_one_plan(self, name):
+        request = self.request(name, 3)
+        with ThreadPoolExecutor(PARALLELISM) as pool:
             assert self.execute(name, request, 3, parallelism=PARALLELISM,
                                 pool=pool) \
                 == self.reference(name, request, 3)
-        finally:
-            pool.shutdown()
+            assert not parallel._INPROC_GROUPS

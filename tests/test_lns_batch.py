@@ -129,20 +129,18 @@ def run_scalar(algorithm, request):
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 10_000), directed=st.booleans(),
        constraint=st.sampled_from(CONSTRAINTS),
-       screened=st.booleans(), budget=st.sampled_from(BUDGETS),
-       order=st.sampled_from(["sorted", "degree"]))
+       screened=st.booleans(), budget=st.sampled_from(BUDGETS))
 def test_batched_checks_equal_scalar_checks(seed, directed, constraint,
-                                            screened, budget, order):
+                                            screened, budget):
     query, hosting = random_workload(seed, directed)
     request = SearchRequest.build(
         query, hosting, constraint=constraint,
         node_constraint=NODE_CONSTRAINT if screened else None,
         max_results=budget)
-    batched, plan = run_batched(LNS(candidate_order=order), request)
+    batched, plan = run_batched(LNS(), request)
     # A warm re-execute answers from the memo alone.
     assert observables(plan.execute()) == observables(batched)
-    assert observables(run_scalar(LNS(candidate_order=order), request)) \
-        == observables(batched)
+    assert observables(run_scalar(LNS(), request)) == observables(batched)
 
 
 def test_batched_walk_reads_the_memo_it_filled():
@@ -263,7 +261,7 @@ def test_lns_never_builds_a_hosting_compile(monkeypatch):
     plan = LNS().prepare(request)
     plan.execute()
     plan.execute(parallelism=1)
-    LNS(candidate_order="degree").request(request)
+    LNS().request(request)
     assert built == []
     assert getattr(hosting, "_hosting_compile", None) is None
     assert filters_module.peek_hosting_compile(hosting) is None
@@ -360,21 +358,19 @@ def test_service_hand_over_drops_the_memo():
 def test_pickled_plan_carries_no_memo_and_runs_scalar():
     query, hosting = ring_workload()
     request = SearchRequest.build(query, hosting, constraint=WINDOW)
-    result, plan = run_batched(LNS(candidate_order="degree"), request)
+    result, plan = run_batched(LNS(), request)
     clone = pickle.loads(pickle.dumps(plan.prepared))
     assert clone._edge_verdicts is None
-    assert clone.degree_rank == plan.prepared.degree_rank
     assert plan.prepared._edge_verdicts.masks      # the owner keeps its memo
 
 
-@pytest.mark.parametrize("order", ["sorted", "degree"])
-def test_sharded_scalar_run_equals_serial_batched_run(order):
+def test_sharded_scalar_run_equals_serial_batched_run():
     """Shard workers unpickle the network — no compile, scalar checks —
     while the parent's serial run reads the compile: the one place both
     paths meet in production."""
     query, hosting = random_workload(29, False)
     request = SearchRequest.build(query, hosting, constraint=WINDOW)
-    serial, plan = run_batched(LNS(candidate_order=order), request)
+    serial, plan = run_batched(LNS(), request)
     sharded = plan.execute(parallelism=PARALLELISM)
     assert observables(sharded) == observables(serial)
     capped = plan.execute(Budget(max_results=2), parallelism=PARALLELISM)

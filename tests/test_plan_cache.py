@@ -4,7 +4,7 @@ Covers the plan-cache semantics end to end: hits on an unchanged model
 version, misses after ``registry.touch()`` (monitor refresh) and after direct
 network mutation, LRU eviction at capacity, per-entry statistics, the
 thread-safety of the model registry under concurrent touch/read traffic, and
-the deprecation of the legacy ``search(**kwargs)`` shim.
+the absence of the removed ``search(**kwargs)`` shim.
 """
 
 from __future__ import annotations
@@ -425,14 +425,15 @@ class TestRegistryThreadSafety:
 
 
 # --------------------------------------------------------------------------- #
-# Legacy shim deprecation
+# The keyword shim is gone
 # --------------------------------------------------------------------------- #
 
 class TestSearchDeprecation:
-    def test_search_emits_deprecation_warning(self, small_hosting, path_query):
-        with pytest.warns(DeprecationWarning, match="request\\(\\)"):
-            result = ECF().search(path_query, small_hosting, constraint=WINDOW)
-        assert result.found
+    def test_search_is_gone(self):
+        """``request()`` / ``prepare()`` are the call surface; the deprecated
+        ``search(**kwargs)`` shim is not kept beside them."""
+        with pytest.raises(AttributeError):
+            ECF().search
 
     def test_request_and_prepare_do_not_warn(self, small_hosting, path_query,
                                              recwarn):

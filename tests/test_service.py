@@ -4,6 +4,7 @@ negotiation sessions and the facade."""
 from __future__ import annotations
 
 import pytest
+from conftest import search
 
 from repro.graphs import QueryNetwork, write_graphml
 from repro.service import (
@@ -149,8 +150,8 @@ class TestReservations:
     def test_reserve_and_release(self, small_hosting, path_query, window_constraint):
         from repro.core import ECF
         hosting = self._prepared_host(small_hosting)
-        result = ECF().search(path_query, hosting, constraint=window_constraint,
-                              max_results=1)
+        result = search(ECF(), path_query, hosting, constraint=window_constraint,
+                        max_results=1)
         manager = ReservationManager()
         reservation = manager.reserve(hosting, "net", result.first)
         assert len(manager) == 1
@@ -193,8 +194,8 @@ class TestReservations:
         hosting = self._prepared_host(small_hosting)
         hosting.update_node("a", available_capacity=0.0)
         with_default_demand(path_query, demand=1.0)
-        result = ECF().search(path_query, hosting, constraint=window_constraint,
-                              node_constraint=CAPACITY_NODE_CONSTRAINT)
+        result = search(ECF(), path_query, hosting, constraint=window_constraint,
+                        node_constraint=CAPACITY_NODE_CONSTRAINT)
         assert result.found
         for mapping in result.mappings:
             assert "a" not in mapping.hosting_nodes()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from conftest import search
 
 from repro.core import ECF, LNS
 from repro.topology.composite import LEVEL_ATTR, CompositeSpec
@@ -49,14 +50,14 @@ class TestSubgraphQueries:
 
     def test_sampled_query_is_actually_embeddable(self, host):
         workload = subgraph_query(host, 6, rng=3)
-        result = LNS().search(workload.query, host, constraint=workload.constraint,
-                              max_results=1)
+        result = search(LNS(), workload.query, host, constraint=workload.constraint,
+                        max_results=1)
         assert result.found
 
     def test_zero_slack_still_feasible(self, host):
         workload = subgraph_query(host, 4, slack=0.0, rng=4)
-        result = LNS().search(workload.query, host, constraint=workload.constraint,
-                              max_results=1)
+        result = search(LNS(), workload.query, host, constraint=workload.constraint,
+                        max_results=1)
         assert result.found
 
     def test_negative_slack_rejected(self, host):
@@ -91,8 +92,8 @@ class TestCliqueQueries:
 
     def test_small_clique_found_on_planetlab_like_host(self, host):
         workload = clique_query(3)
-        result = LNS().search(workload.query, host, constraint=workload.constraint,
-                              max_results=1, timeout=10)
+        result = search(LNS(), workload.query, host, constraint=workload.constraint,
+                        max_results=1, timeout=10)
         # The 10-100ms band is well populated, so a triangle should exist.
         assert result.found
 
@@ -135,7 +136,7 @@ class TestInfeasiblePerturbation:
         # Topology untouched, only attributes changed.
         assert infeasible.query.num_edges == workload.query.num_edges
         assert infeasible.query.num_nodes == workload.query.num_nodes
-        result = ECF().search(infeasible.query, host, constraint=infeasible.constraint)
+        result = search(ECF(), infeasible.query, host, constraint=infeasible.constraint)
         assert result.proved_infeasible
 
     def test_original_workload_is_not_mutated(self, host):
