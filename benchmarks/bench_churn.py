@@ -4,23 +4,25 @@
 The dynamic-network scenario: a long-lived service holds compiled plans and
 reserved embeddings while the monitoring feed jitters a *small fraction* of
 the model every tick.  This benchmark replays identical attr-jitter-only
-churn traces over two copies of a PlanetLab-style model and times, per tick:
+churn traces over two copies of a PlanetLab-style model and checks, per
+tick, that the two ways of bringing a plan up to date agree:
 
 * **incremental-refresh** — ``plan.refresh()`` routing through the
   delta-aware patch path: the mutation journal is replayed onto the filter
-  bitmasks and vectorizer columns, cost proportional to the delta;
-* **full-recompile** — the pre-journal engine's cost: the hosting compile is
-  dropped and ``ECF().prepare(request)`` rebuilds everything from scratch.
+  blocks and vectorizer columns;
+* **full-recompile** — the hosting compile is dropped and
+  ``ECF().prepare(request)`` rebuilds everything from scratch.
 
 The two arms must stay **element-identical**: after every tick the patched
-filter matrices (cells, candidate masks, fallbacks) and the recomputed
-visiting order are compared against the from-scratch build.  A second phase
-reserves embeddings against a third copy and times ``service.repair()`` —
-which releases only the violated assignments — against answering the same
-query from scratch (the re-embed a repair-less service would pay).
+filter matrices (blocks, arcs, candidate masks, node screens) and the
+recomputed visiting order are compared against the from-scratch build.  A
+second phase reserves embeddings against a third copy and checks that
+``service.repair()`` — which releases only the violated assignments — agrees
+with answering the same query from scratch on whether it is feasible.
 
-Timings and the regression-gate metrics (``refresh.speedup_refresh``,
-``repair.speedup_repair``, parity booleans) go to ``BENCH_churn.json``.
+The counts and parity flags the regression gate pins go to
+``BENCH_churn.json``; what a refresh costs a caller is the ``churn_refresh``
+workload of ``benchmarks/e2e/``.
 
 Usage::
 
@@ -112,7 +114,7 @@ def assert_same_artifacts(patched_plan, fresh_plan, tick: int) -> None:
 
 def run_refresh_phase(scale: ChurnScale, seed: int, ticks: int,
                       config: ChurnConfig) -> Dict:
-    """Per-tick incremental plan refresh vs. full recompile, parity-checked."""
+    """Per-tick incremental plan refresh vs. full recompile, element-checked."""
     hosting_inc, workloads_inc = build_scene(scale, seed)
     hosting_full, workloads_full = build_scene(scale, seed)
     churn_inc = ChurnProcess(hosting_inc, config, rng=seed + 1)
@@ -126,8 +128,6 @@ def run_refresh_phase(scale: ChurnScale, seed: int, ticks: int,
                      for w in workloads_full]
     plans = [ECF().prepare(request) for request in requests_inc]
 
-    incremental_seconds = 0.0
-    full_seconds = 0.0
     patched = recompiled = 0
     touched_rows = 0
     for tick in range(1, ticks + 1):
@@ -137,20 +137,16 @@ def run_refresh_phase(scale: ChurnScale, seed: int, ticks: int,
                 != [record_full.touched_edges, record_full.touched_nodes]):
             raise AssertionError("churn traces diverged between the arms")
         for index, request in enumerate(requests_full):
-            started = time.perf_counter()
             plans[index] = plans[index].refresh()
-            incremental_seconds += time.perf_counter() - started
             if plans[index].refresh_mode == "patched":
                 patched += 1
             else:
                 recompiled += 1
 
-            # The historical cost: any tick invalidated the memoised hosting
-            # compile outright, so a post-tick prepare rebuilt everything.
+            # Rebuild from a dropped hosting compile, so the patched plan is
+            # judged against a build that shares no patched layer with it.
             clear_hosting_compile(hosting_full)
-            started = time.perf_counter()
             fresh = ECF().prepare(request)
-            full_seconds += time.perf_counter() - started
 
             assert_same_artifacts(plans[index], fresh, tick)
         touched_rows += len(record_inc.touched_edges)
@@ -162,10 +158,6 @@ def run_refresh_phase(scale: ChurnScale, seed: int, ticks: int,
         "refreshes": ticks * len(plans),
         "patched": patched,
         "recompiled": recompiled,
-        "incremental_seconds": incremental_seconds,
-        "full_seconds": full_seconds,
-        "speedup_refresh": (full_seconds / incremental_seconds
-                            if incremental_seconds > 0 else float("inf")),
         "parity_checked": True,
         "patched_rows_per_plan": filters.patched_rows,
         "links_touched": touched_rows,
@@ -174,7 +166,7 @@ def run_refresh_phase(scale: ChurnScale, seed: int, ticks: int,
 
 def run_repair_phase(scale: ChurnScale, seed: int, ticks: int,
                      config: ChurnConfig, timeout: float) -> Dict:
-    """Repair reserved embeddings per tick vs. re-embedding from scratch."""
+    """Repair reserved embeddings per tick; re-embedding must agree."""
     hosting, workloads = build_scene(scale, seed)
     for node in hosting.nodes():
         hosting.set_capacity(node, 4.0)
@@ -193,23 +185,18 @@ def run_repair_phase(scale: ChurnScale, seed: int, ticks: int,
 
     churn = ChurnProcess(hosting, config, rng=seed + 1)
     counts = {"intact": 0, "repaired": 0, "failed": 0, "timeout": 0}
-    repair_seconds = 0.0
-    reembed_seconds = 0.0
     moved = 0
     for _ in range(ticks):
         churn.tick()
         service.registry.touch("churn-bench")
         for reservation_id, workload in reservations:
             repair = service.repair(reservation_id, timeout=timeout)
-            repair_seconds += repair.result.elapsed_seconds
             counts[repair.status] = counts.get(repair.status, 0) + 1
             moved += len(repair.moved)
 
-            started = time.perf_counter()
             result = ECF().request(SearchRequest.build(
                 workload.query, hosting, constraint=workload.constraint,
                 timeout=timeout, max_results=1))
-            reembed_seconds += time.perf_counter() - started
             if repair.ok != result.found:
                 raise AssertionError(
                     f"repair ({repair.status}) and re-embed "
@@ -222,10 +209,6 @@ def run_repair_phase(scale: ChurnScale, seed: int, ticks: int,
         "checks": ticks * len(reservations),
         **counts,
         "moved_nodes": moved,
-        "repair_seconds": repair_seconds,
-        "reembed_seconds": reembed_seconds,
-        "speedup_repair": (reembed_seconds / repair_seconds
-                           if repair_seconds > 0 else float("inf")),
         "repaired_valid": True,   # service.repair re-validates before rebinding
     }
 
@@ -264,23 +247,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"(links {args.link_fraction}, nodes {args.node_fraction})")
 
     refresh = run_refresh_phase(scale, args.seed, args.ticks, config)
-    print(f"refresh: incremental {refresh['incremental_seconds']:.3f}s vs "
-          f"full recompile {refresh['full_seconds']:.3f}s over "
-          f"{refresh['refreshes']} refreshes -> "
-          f"{refresh['speedup_refresh']:.1f}x "
-          f"({refresh['patched']} patched / {refresh['recompiled']} "
-          f"recompiled; artifacts element-identical)")
-    if refresh["speedup_refresh"] < 1.0:
-        print("WARNING: incremental refresh slower than full recompile",
-              file=sys.stderr)
+    print(f"refresh: {refresh['refreshes']} refreshes, "
+          f"{refresh['patched']} patched / {refresh['recompiled']} "
+          f"recompiled; artifacts element-identical to a rebuild")
 
     repair = run_repair_phase(scale, args.seed, args.ticks, config,
                               args.timeout)
     print(f"repair:  {repair['checks']} checks -> {repair['intact']} intact, "
           f"{repair['repaired']} repaired ({repair['moved_nodes']} moves), "
-          f"{repair['failed']} failed; repair {repair['repair_seconds']:.3f}s "
-          f"vs re-embed {repair['reembed_seconds']:.3f}s -> "
-          f"{repair['speedup_repair']:.1f}x")
+          f"{repair['failed']} failed; feasibility agrees with re-embedding")
 
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -11,14 +11,11 @@ full network.  This benchmark builds a federated PlanetLab-style topology
 paper's Fig. 8/9 experiments), embeds a batch of zone-local queries through
 :class:`~repro.cluster.ClusterCoordinator`, and reports
 
-* phase timings — topology build, partition/replica construction, embed;
 * ``embed.found`` / ``embed.valid`` — every query answered and every
   returned mapping revalidated against the *primary* network (exact-gated);
 * ``parity.results_match`` — the differential oracle: feasibility verdicts
   agree with a monolithic ECF run over the unpartitioned network on every
   instance the oracle finishes within its budget (exact-gated);
-* ``pruning.speedup_vs_scan`` — total cluster embed time vs the monolithic
-  full-network scan (ratio-gated, wide tolerance: wall-clock);
 * ``partitions.bounded`` — the largest replica stays a strict fraction of
   the network (exact-gated), the working-set guarantee in one number;
 * ``replication.identical`` — after attribute churn, journal-delta refresh
@@ -109,7 +106,6 @@ def run_cluster_arm(coordinator, workloads, scale: ScaleoutScale,
     pruned = 0
     searched = 0
     cross = 0
-    started = time.perf_counter()
     for i, workload in enumerate(workloads):
         result = coordinator.embed(workload.query,
                                    constraint=workload.constraint,
@@ -124,11 +120,9 @@ def run_cluster_arm(coordinator, workloads, scale: ScaleoutScale,
             if validate_mapping(result.first, workload.query, hosting,
                                 workload.constraint):
                 valid = False
-    elapsed = time.perf_counter() - started
     return {"found": found, "queries": len(workloads), "valid": valid,
             "verdicts": verdicts, "partitions_pruned": pruned,
-            "partitions_searched": searched, "cross_partition": cross,
-            "seconds": elapsed}
+            "partitions_searched": searched, "cross_partition": cross}
 
 
 def run_oracle_arm(hosting, workloads, scale: ScaleoutScale) -> Dict:
@@ -136,7 +130,6 @@ def run_oracle_arm(hosting, workloads, scale: ScaleoutScale) -> Dict:
     engine = ECF()
     found: List[Optional[bool]] = []
     timeouts = 0
-    started = time.perf_counter()
     for workload in workloads:
         result = engine.request(SearchRequest.build(
             workload.query, hosting, constraint=workload.constraint,
@@ -146,8 +139,7 @@ def run_oracle_arm(hosting, workloads, scale: ScaleoutScale) -> Dict:
             timeouts += 1
         else:
             found.append(result.found)
-    elapsed = time.perf_counter() - started
-    return {"found": found, "timeouts": timeouts, "seconds": elapsed}
+    return {"found": found, "timeouts": timeouts}
 
 
 def differential_parity(cluster: Dict, oracle: Dict) -> Dict:
@@ -185,9 +177,7 @@ def run_replication_check(hosting, coordinator,
         u, v = edges[rand.randrange(len(edges))]
         hosting.update_edge(u, v, avgDelay=rand.uniform(5.0, 250.0))
         touched += 1
-    started = time.perf_counter()
     report = coordinator.refresh()
-    refresh_seconds = time.perf_counter() - started
     identical = True
     pmap = coordinator.partition_map
     for name, worker in coordinator.workers.items():
@@ -204,7 +194,7 @@ def run_replication_check(hosting, coordinator,
             break
     stats = coordinator.stats()["replication"]
     return {"mode": report["mode"], "edges_churned": touched,
-            "identical": identical, "refresh_seconds": refresh_seconds,
+            "identical": identical,
             "deltas_applied": stats["deltas_applied"],
             "subjects_applied": stats["subjects_applied"],
             "full_resyncs": stats["full_resyncs"]}
@@ -224,20 +214,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     scale = SCALES[args.scale]
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
-    build_started = time.perf_counter()
     hosting = federated_planetlab(scale.num_zones, scale.sites_per_zone,
                                   rng=random.Random(args.seed))
-    build_seconds = time.perf_counter() - build_started
     print(f"scaleout: scale={args.scale} seed={args.seed} — "
           f"{hosting.num_nodes} sites / {hosting.num_edges} links across "
-          f"{scale.num_zones} zones (built in {build_seconds:.2f}s)")
+          f"{scale.num_zones} zones")
 
-    partition_started = time.perf_counter()
     coordinator = ClusterCoordinator(hosting, attribute="zone")
-    partition_seconds = time.perf_counter() - partition_started
     cstats = coordinator.stats()
-    print(f"partitioned into {cstats['partitions']} shards in "
-          f"{partition_seconds:.2f}s; largest replica "
+    print(f"partitioned into {cstats['partitions']} shards; largest replica "
           f"{cstats['max_partition_nodes']} nodes "
           f"({cstats['max_partition_nodes'] / hosting.num_nodes:.1%} of the "
           f"network), boundary {cstats['boundary_nodes']} nodes, "
@@ -246,25 +231,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     workloads = sample_workloads(hosting, coordinator, scale, args.seed)
     cluster = run_cluster_arm(coordinator, workloads, scale, hosting)
     print(f"cluster arm: {cluster['found']}/{cluster['queries']} embedded "
-          f"(all valid: {cluster['valid']}) in {cluster['seconds']:.2f}s; "
+          f"(all valid: {cluster['valid']}); "
           f"{cluster['partitions_pruned']} partitions pruned, "
           f"{cluster['partitions_searched']} searched, "
           f"{cluster['cross_partition']} cross-partition answers")
 
     oracle = run_oracle_arm(hosting, workloads, scale)
     parity = differential_parity(cluster, oracle)
-    speedup = (oracle["seconds"] / cluster["seconds"]
-               if cluster["seconds"] > 0 else float("inf"))
-    print(f"oracle arm (monolithic ECF, full scan): {oracle['seconds']:.2f}s, "
+    print(f"oracle arm (monolithic ECF, full scan): "
           f"{oracle['timeouts']} timeout(s); parity {parity['compared']} "
-          f"compared, {parity['mismatches']} mismatch(es); "
-          f"speedup vs scan {speedup:.1f}x")
+          f"compared, {parity['mismatches']} mismatch(es)")
 
     replication = run_replication_check(hosting, coordinator, scale,
                                         args.seed)
     print(f"replication: {replication['edges_churned']} edges churned, "
-          f"refresh mode {replication['mode']} in "
-          f"{replication['refresh_seconds']:.3f}s, replicas identical to "
+          f"refresh mode {replication['mode']}, replicas identical to "
           f"rebuild: {replication['identical']}")
 
     bounded = cstats["max_partition_nodes"] < hosting.num_nodes
@@ -283,12 +264,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "started": started,
         },
         "environment": environment_info(),
-        "phases": {
-            "build_seconds": build_seconds,
-            "partition_seconds": partition_seconds,
-            "embed_seconds": cluster["seconds"],
-            "oracle_seconds": oracle["seconds"],
-        },
         "embed": {
             "found": cluster["found"],
             "queries": cluster["queries"],
@@ -299,7 +274,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "pruning": {
             "partitions_pruned": cluster["partitions_pruned"],
             "partitions_searched": cluster["partitions_searched"],
-            "speedup_vs_scan": speedup,
         },
         "partitions": {
             "count": cstats["partitions"],

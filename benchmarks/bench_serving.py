@@ -9,8 +9,9 @@ hide overload by slowing down with the server; an open-loop driver does
 not, which is exactly the regime where an unbounded queue melts down and a
 bounded one sheds.
 
-The replay rides on the shared harness driver (:mod:`repro.harness`), so
-the measurement rules match every other scenario run:
+The replay rides on the shared harness driver (:mod:`repro.harness`) and is
+folded by the same :func:`~repro.harness.scenario_summary` as every other
+scenario run, so the measurement rules match:
 
 * latency is measured from each request's **scheduled** offset, not from
   the moment the driver got around to sending it (coordinated-omission
@@ -23,9 +24,9 @@ the measurement rules match every other scenario run:
 Two tenants share the server: ``open`` (no rate limit — it sees the bounded
 queue as-is) and ``capped`` (rate-limited, so tenant-level QoS sheds appear
 even on machines fast enough never to fill the queue).  The benchmark
-reports the latency/slip blocks, the shed rate and its breakdown by
-structured reason, and three deterministic invariants the regression gate
-protects:
+reports the harness summary (latency/slip blocks, the shed rate and its
+breakdown by structured reason, per-tenant counts) plus three deterministic
+invariants the regression gate protects:
 
 * ``parity.results_match`` — every accepted response is byte-identical
   (stringified mappings) to a direct ``NetEmbedService.submit`` of the
@@ -55,14 +56,18 @@ if str(REPO_ROOT / "src") not in sys.path:  # allow running without PYTHONPATH
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis.perf import environment_info, write_bench_json
-from repro.analysis.stats import latency_block, slip_block
-from repro.harness import ScenarioConfig, ScenarioRun, run_scenario
+from repro.harness import (
+    ScenarioConfig,
+    ScenarioRun,
+    run_scenario,
+    scenario_summary,
+)
 from repro.server import mapping_payload
 from repro.service import NetEmbedService, QuerySpec
 
 DEFAULT_OUTPUT = Path(__file__).parent / "results" / "BENCH_serving.json"
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -139,58 +144,14 @@ def run_parity_check(run: ScenarioRun) -> Dict:
     }
 
 
-def summarise(scale: ServingScale, run: ScenarioRun) -> Dict:
-    """Fold a raw harness run into the report's latency/shed/accounting blocks."""
-    outcomes = run.outcomes
+def metrics_consistent(run: ScenarioRun) -> bool:
+    """The ``metrics`` endpoint's counters agree with what the client saw."""
     metrics = run.metrics
-    served = [o for o in outcomes if o.kind == "result"]
-    shed = [o for o in outcomes if o.kind == "shed"]
-    errors = [o for o in outcomes if o.kind == "error"]
-    reasons: Dict[str, int] = {}
-    for outcome in shed:
-        reasons[outcome.detail] = reasons.get(outcome.detail, 0) + 1
-    per_tenant: Dict[str, Dict[str, int]] = {}
-    for outcome in outcomes:
-        bucket = per_tenant.setdefault(outcome.tenant, {"served": 0, "shed": 0})
-        bucket["served" if outcome.kind == "result" else "shed"] += 1
-
-    admission = metrics["admission"]
-    offered = len(outcomes)
-    accounting_ok = (
-        admission["offered"] == offered
-        and admission["admitted"] + admission["shed_total"] == offered
-        and admission["completed"] == len(served)
-        and not errors)
-    metrics_ok = (
-        admission["shed_total"] == len(shed)
-        and metrics["server"]["requests"].get("embed", 0) == offered
-        and metrics["service"]["plan_cache"]["misses"] >= 1)
-
-    return {
-        "latency": latency_block(o.latency_seconds for o in served),
-        "schedule_slip": slip_block(o.slip_seconds for o in outcomes),
-        "throughput": {
-            "wall_seconds": run.wall_seconds,
-            "served_per_second": (len(served) / run.wall_seconds
-                                  if run.wall_seconds > 0 else 0.0),
-            "offered_per_second": scale.rate,
-        },
-        "shedding": {
-            "offered": offered,
-            "served": len(served),
-            "shed": len(shed),
-            "errors": len(errors),
-            "shed_rate": len(shed) / offered if offered else 0.0,
-            "reasons": reasons,
-            "per_tenant": per_tenant,
-        },
-        "accounting": {"consistent": accounting_ok},
-        "metrics": {
-            "consistent": metrics_ok,
-            "plan_cache_hits": metrics["service"]["plan_cache"]["hits"],
-            "plan_cache_misses": metrics["service"]["plan_cache"]["misses"],
-        },
-    }
+    shed = sum(1 for outcome in run.outcomes if outcome.kind == "shed")
+    return (metrics["admission"]["shed_total"] == shed
+            and metrics["server"]["requests"].get("embed", 0)
+            == len(run.outcomes)
+            and metrics["service"]["plan_cache"]["misses"] >= 1)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -213,11 +174,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"queue depth {scale.queue_depth}")
 
     run = run_scenario(scenario_config(scale), seed=args.seed)
-    summary = summarise(scale, run)
+    summary = scenario_summary(run)
+    metrics_ok = metrics_consistent(run)
     parity = run_parity_check(run)
 
     latency = summary["latency"]
-    shedding = summary["shedding"]
+    outcomes = summary["outcomes"]
     slip = summary["schedule_slip"]
 
     def fmt_ms(value: Optional[float]) -> str:
@@ -231,39 +193,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"schedule slip: max {fmt_ms(slip['max_seconds'])}, "
           f"total {fmt_ms(slip['total_seconds'])} across {slip['count']} "
           f"request(s)")
-    print(f"shedding: {shedding['shed']}/{shedding['offered']} "
-          f"({shedding['shed_rate']:.0%}) — "
-          + (", ".join(f"{reason} x{count}"
-                       for reason, count in sorted(shedding["reasons"].items()))
+    print(f"shedding: {outcomes['shed']}/{outcomes['offered']} "
+          f"({outcomes['shed_rate']:.0%}) — "
+          + (", ".join(f"{reason} x{count}" for reason, count
+                       in sorted(outcomes["shed_reasons"].items()))
              or "none"))
     print(f"parity: {parity['responses_compared']} accepted responses vs "
           f"direct engine calls, {parity['mismatches']} mismatches")
     print(f"accounting consistent: {summary['accounting']['consistent']}; "
-          f"metrics consistent: {summary['metrics']['consistent']}")
+          f"metrics consistent: {metrics_ok}")
     if not parity["results_match"]:
         print("WARNING: serving tier drifted from direct engine results",
               file=sys.stderr)
 
     report = {
         "schema_version": SCHEMA_VERSION,
-        "workload": {
-            "scale": args.scale,
-            "seed": args.seed,
-            "hosting_nodes": scale.hosting_nodes,
-            "num_workloads": scale.num_workloads,
-            "query_size": scale.query_size,
-            "slack": scale.slack,
-            "rate": scale.rate,
-            "horizon": scale.horizon,
-            "capped_rate": scale.capped_rate,
-            "engine_workers": scale.engine_workers,
-            "queue_depth": scale.queue_depth,
-            "max_results": scale.max_results,
-            "deadline": scale.deadline,
-            "started": started,
-        },
+        "workload": {"scale": args.scale, "started": started},
         "environment": environment_info(),
         **summary,
+        "metrics": {"consistent": metrics_ok},
         "parity": parity,
     }
     path = write_bench_json(args.output, report)

@@ -24,11 +24,12 @@ def pytest_configure(config) -> None:
     """Register the smoke marker and guarantee the results directory.
 
     ``smoke`` marks the tiny-scale pytest entry points of the script-style
-    benchmarks (bench_perf_core / bench_plan_cache / bench_parallel), so
-    ``pytest benchmarks -m smoke`` exercises every benchmark end to end in
-    seconds.  The results directory is created here too — committed
-    artifacts live in it, but a fresh clone running a benchmark that writes
-    there must not depend on the checkout shipping the directory.
+    benchmarks (bench_churn / bench_serving / bench_faults / bench_scaleout /
+    bench_harness), so ``pytest benchmarks -m smoke`` exercises each of them
+    end to end at tiny scale.  The results directory is created here too —
+    committed artifacts live in it, but a fresh clone running a benchmark
+    that writes there must not depend on the checkout shipping the
+    directory.
     """
     config.addinivalue_line(
         "markers",

@@ -18,14 +18,7 @@ from repro.analysis.experiments import (
     run_workloads,
 )
 from repro.analysis.metrics import Summary, group_summaries, proportions, summarize
-from repro.analysis.perf import (
-    PerfSample,
-    build_report,
-    environment_info,
-    load_bench_json,
-    speedup,
-    write_bench_json,
-)
+from repro.analysis.perf import environment_info, write_bench_json
 from repro.analysis.stats import latency_block, percentile, slip_block
 from repro.analysis.reporting import (
     csv_string,
@@ -51,11 +44,7 @@ __all__ = [
     "baseline_comparison_experiment",
     "ordering_ablation_experiment",
     "filter_ablation_experiment",
-    "PerfSample",
-    "build_report",
     "environment_info",
-    "load_bench_json",
-    "speedup",
     "write_bench_json",
     "latency_block",
     "percentile",

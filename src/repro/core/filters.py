@@ -594,9 +594,8 @@ _V_OBJECTS = ("vEdge", "vSource", "vTarget")
 #: ``ra -> rb`` — and *backward* on ``(ba, b, a)``.
 _COLUMN_SOURCES = {"rEdge": (4, 5), "rSource": (6, 7), "rTarget": (7, 6)}
 #: Budget, in cells, for the transient dense boolean the packing step
-#: scatters verdicts into.  A full build whose ``num_hosts²`` exceeds it
-#: stays on the scalar loop, and :func:`_pack_cells` works in bands of
-#: placed hosts that each fit it.
+#: scatters verdicts into: :func:`_pack_cells` works in bands of placed
+#: hosts that each fit it.
 _MAX_DENSE_CELLS = 64_000_000
 
 
@@ -708,8 +707,7 @@ def _pair_verdicts_vectorized(query, constraint, pair_edges, compiled,
     Replicates the scalar pass exactly, including its short-circuit
     structure (a row dead after edge *k* is not evaluated at edge *k+1*).
     Returns ``None`` when the workload is outside the vectorizable fragment
-    (non-numeric attributes, strict mode, unsupported expression shapes, a
-    full build over more than :data:`_MAX_DENSE_CELLS` host pairs).
+    (non-numeric attributes, strict mode, unsupported expression shapes).
 
     The hosting-side inputs — arc index arrays and per-attribute numeric
     columns — come memoised from the :class:`HostingCompile`, so repeated
@@ -723,8 +721,6 @@ def _pair_verdicts_vectorized(query, constraint, pair_edges, compiled,
     trivial = kernel is None
     indexer = compiled.indexer
     num_hosts = len(indexer)
-    if rows is None and num_hosts * num_hosts > _MAX_DENSE_CELLS:
-        return None
 
     ra_idx, rb_idx, exists_fwd, exists_bwd = compiled.index_arrays()
     if rows is not None:

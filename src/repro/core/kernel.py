@@ -11,8 +11,8 @@ here, over a :class:`KernelPlan` — the search-ready view of one
   available.
 * ``numba`` — the same algorithm transliterated to ``numba.njit`` over the
   blocks' fixed-width ``uint64`` words themselves (:mod:`repro.core.words`),
-  compiled ``nogil`` so that thread-based shards are not GIL-bound (the
-  speedup itself is unmeasured: no committed record was taken with numba).
+  compiled ``nogil`` so that thread-based shards are not GIL-bound (what
+  it gains is unmeasured: no committed record was taken with numba).
 
 The backend is detected, not selected: it is ``numba`` exactly when numba
 imports *and* the compiled kernels pass a tiny compile-and-verify self-test

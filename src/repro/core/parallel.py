@@ -52,7 +52,8 @@ Design notes
   shards that share its address space, so the group travels by reference
   (``_INPROC_GROUPS``) instead of being pickled.  Under the pure-Python
   kernel such shards are GIL-bound (correctness testing only); the numba
-  chunk loops run ``nogil``, but no thread-shard speedup has been measured.
+  chunk loops run ``nogil``, but what thread shards gain there has not been
+  measured.
 """
 
 from __future__ import annotations

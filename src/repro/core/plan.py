@@ -224,22 +224,20 @@ class EmbeddingPlan:
             patched.refresh_mode = "patched"
         return patched
 
-    def refresh(self, incremental: bool = True) -> "EmbeddingPlan":
+    def refresh(self) -> "EmbeddingPlan":
         """A plan for the same request at the current epochs.
 
-        With *incremental* (the default) a fresh plan is returned as-is, and
-        a stale one is first offered to the delta-aware patch path —
-        falling back to a full :meth:`~repro.core.base.EmbeddingAlgorithm.prepare`
-        whenever patching does not apply.  ``incremental=False`` forces the
-        historical full recompile unconditionally.  The returned plan's
-        :attr:`refresh_mode` says which route was taken.
+        A fresh plan is returned as-is, and a stale one is first offered to
+        the delta-aware patch path — falling back to a full
+        :meth:`~repro.core.base.EmbeddingAlgorithm.prepare` whenever
+        patching does not apply.  The returned plan's :attr:`refresh_mode`
+        says which route was taken.
         """
-        if incremental:
-            if not self.stale:
-                return self
-            patched = self.try_patch()
-            if patched is not None:
-                return patched
+        if not self.stale:
+            return self
+        patched = self.try_patch()
+        if patched is not None:
+            return patched
         plan = self.algorithm.prepare(self.request)
         plan.refresh_mode = "recompiled"
         return plan

@@ -14,9 +14,6 @@ what makes agreement meaningful:
   and its siblings require the search kernel (:mod:`repro.core.kernel`) to
   reproduce this module's mapping streams, dict key order and every search
   counter, serial and sharded.
-* **Trajectory.**  ``benchmarks/bench_perf_core.py`` times this engine
-  against the active kernel on the same workload and records both numbers in
-  ``BENCH_core.json``, so every future perf PR can see where it started.
 
 It is intentionally *not* registered with the algorithm registry: nothing in
 the production path should ever pick it up.

@@ -92,19 +92,6 @@ class Network:
     #: payload lean and free of cross-process aliasing.
     _DERIVED_CACHE_ATTRS = ("_hosting_compile", "_structure_digest")
 
-    @classmethod
-    def register_derived_cache(cls, attr: str) -> None:
-        """Register *attr* as a derived per-process cache dropped on pickle.
-
-        Layers that memoise compiled artifacts on a network instance (the
-        way :mod:`repro.core.filters` hangs the hosting compile here) call
-        this once at import so ``__getstate__`` strips their attribute too —
-        shard payloads must never ship compiled handles or array views that
-        alias the parent's buffers.
-        """
-        if attr not in cls._DERIVED_CACHE_ATTRS:
-            cls._DERIVED_CACHE_ATTRS = cls._DERIVED_CACHE_ATTRS + (attr,)
-
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
         state["_adjacency"] = {}

@@ -19,6 +19,7 @@ the engine; one that is still alive runs under its *remaining* deadline via
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import time
 from collections import OrderedDict
 from typing import Any, Dict, Optional
@@ -302,45 +303,40 @@ class EmbeddingServer:
         return await ticket.future
 
     def _ticket_from(self, message: Dict[str, Any]) -> Ticket:
-        """Validate an embed message into an admission ticket."""
-        query = query_from_payload(message.get("query"))
-        algorithm = message.get("algorithm", "auto")
-        if (not isinstance(algorithm, str)
-                or (algorithm.lower() != "auto"
-                    and algorithm not in self.registry.service.algorithms)):
-            raise ProtocolError(
-                f"unknown algorithm {algorithm!r}; expected 'auto' or one of "
-                f"{self.registry.service.algorithms.names()}")
-        network = message.get("network")
-        constraint = message.get("constraint")
-        node_constraint = message.get("node_constraint")
+        """Validate an embed message into an admission ticket.
+
+        Every field is checked here, on arrival: the ticket carries a
+        validated :class:`QuerySpec`, so a malformed frame is answered
+        ``bad-request`` without being admitted.
+        """
         deadline = message.get("deadline")
         if deadline is not None and (not isinstance(deadline, (int, float))
                                      or deadline <= 0):
             raise ProtocolError(
                 f"deadline must be a positive number of seconds, "
                 f"got {deadline!r}")
-        payload = {
-            "id": message.get("id"),
-            "query": query,
-            "constraint": constraint,
-            "node_constraint": node_constraint,
-            "algorithm": algorithm,
-            "network": network,
-            "timeout": message.get("timeout"),
-            "max_results": message.get("max_results"),
-            "seed": message.get("seed"),
-            "reserve": bool(message.get("reserve", False)),
-        }
-        cost_key = (network, algorithm, query.name, query.num_nodes,
-                    query.num_edges, constraint, node_constraint)
+        spec = QuerySpec(
+            query=query_from_payload(message.get("query")),
+            constraint=message.get("constraint"),
+            node_constraint=message.get("node_constraint"),
+            algorithm=message.get("algorithm", "auto"),
+            timeout=message.get("timeout"),
+            max_results=message.get("max_results"),
+            network=message.get("network"),
+            seed=message.get("seed"),
+            reserve=bool(message.get("reserve", False)),
+            registry=self.registry.service.algorithms,
+        )
+        query = spec.query
+        cost_key = (spec.network, spec.algorithm, query.name, query.num_nodes,
+                    query.num_edges, spec.constraint, spec.node_constraint)
         return Ticket(
             tenant=str(message.get("tenant", "default")),
             priority=str(message.get("priority", "standard")),
             deadline=(Deadline(float(deadline)) if deadline is not None
                       else Deadline.unlimited()),
             cost_key=cost_key,
-            payload=payload,
+            payload={"id": message.get("id"), "spec": spec},
         )
 
     def _kick(self) -> None:
@@ -378,25 +374,13 @@ class EmbeddingServer:
         self._resolve(ticket, payload)
 
     def _spec_for(self, ticket: Ticket) -> QuerySpec:
-        """Lower a dispatched ticket onto a deadline-clamped QuerySpec."""
-        fields = ticket.payload
-        budget = (Budget(timeout=fields["timeout"],
-                         max_results=fields["max_results"])
+        """The ticket's spec with its timeout clamped to the deadline left."""
+        spec = ticket.payload["spec"]
+        budget = (Budget(timeout=spec.timeout)
                   .with_default_timeout(self.registry.config.default_timeout)
                   .clamped(ticket.deadline.remaining))
-        return QuerySpec(
-            query=fields["query"],
-            constraint=fields["constraint"],
-            node_constraint=fields["node_constraint"],
-            algorithm=fields["algorithm"],
-            timeout=budget.timeout,
-            max_results=budget.max_results,
-            network=fields["network"],
-            seed=fields["seed"],
-            reserve=fields["reserve"],
-            cache=ticket.cache,
-            registry=self.registry.service.algorithms,
-        )
+        return dataclasses.replace(spec, timeout=budget.timeout,
+                                   cache=ticket.cache)
 
     def _result_payload(self, ticket: Ticket, response) -> Dict[str, Any]:
         queue_seconds = None

@@ -299,7 +299,7 @@ class TestPreparedExecuteParity:
         """After a network mutation the stale plan refuses to run, and a
         refreshed plan agrees with a fresh search on the mutated network —
         on both refresh routes: the delta-aware incremental patch (taken for
-        attribute-only mutations) and the forced full recompile."""
+        attribute-only mutations) and a full re-prepare."""
         from repro.core import PlanInvalidatedError
 
         query, hosting, constraint, node_constraint = build_workload(*params)
@@ -325,8 +325,7 @@ class TestPreparedExecuteParity:
             assert refreshed.refresh_mode == "recompiled"
             assert_same_outcome(refreshed.execute(), fresh)
 
-        recompiled = plan.refresh(incremental=False)
-        assert recompiled.refresh_mode == "recompiled"
+        recompiled = plan.algorithm.prepare(plan.request)
         assert_same_outcome(recompiled.execute(), fresh)
 
     def test_stream_through_plan_matches_execute(self, small_hosting,

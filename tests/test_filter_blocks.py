@@ -9,13 +9,14 @@ suite pins the properties that make a single store safe:
   mutation sequences (seeded with the delete / re-insert sequence that broke
   the carried word tables of the two-representation engine), and the derived
   views agree with the set-semantics oracle in :mod:`repro.core.reference`;
-* the scalar evaluation pass ends in the same blocks as the batch kernel;
+* the scalar evaluation pass ends in the same blocks as the batch kernel,
+  and a vectorizable build runs the batch kernel at any scene size;
 * a query pair's two directions are one block object exactly when their
   cells are provably each other's transpose, and either way equal the
   oracle's;
 * the arrays handed to the numba kernel select the cells the int views hold;
-* blocks are row-compressed (a sparse host above the dense-cell guard stays
-  within its byte bound);
+* blocks are row-compressed (a sparse host packed in more than one band
+  stays within its byte bound);
 * a shard payload ships blocks and nothing derived from them;
 * a kernel plan does not keep its owner or its filters alive.
 """
@@ -270,16 +271,50 @@ class TestScalarProducerParity:
         strict = build_filters(
             query, hosting, ConstraintExpression(WINDOW.source, strict=True), UP)
         labelled = build_filters(query, hosting, WINDOW_READING_LABEL, UP)
+        # One host per packing band: the band budget does not pick the
+        # verdict path, so this build stays on the batch kernel.
         monkeypatch.setattr(filters_module, "_MAX_DENSE_CELLS", 0)
         guarded = build_filters(query, hosting, WINDOW, UP)
-        assert len(scalar_passes) == 3
+        assert len(scalar_passes) == 2
 
-        for scalar in (strict, labelled, guarded):
-            assert_blocks_equal(scalar, vectorized)
-            assert scalar.node_candidate_masks == vectorized.node_candidate_masks
-            assert scalar.entry_count == vectorized.entry_count
-            assert (scalar.constraint_evaluations
+        for other in (strict, labelled, guarded):
+            assert_blocks_equal(other, vectorized)
+            assert other.node_candidate_masks == vectorized.node_candidate_masks
+            assert other.entry_count == vectorized.entry_count
+            assert (other.constraint_evaluations
                     == vectorized.constraint_evaluations)
+
+    def test_build_past_the_band_budget_runs_the_batch_kernel(
+            self, monkeypatch):
+        """A vectorizable build whose ``num_hosts²`` exceeds the packing
+        budget still evaluates on the batch kernel, to the same blocks and
+        the same evaluation count."""
+        rng = random.Random(40)
+        hosting = HostingNetwork("hosting")
+        for i in range(40):
+            hosting.add_node(f"h{i:02d}", up=rng.random() < 0.9)
+        for i in range(40):
+            for j in range(i + 1, 40):
+                if rng.random() < 0.3:
+                    hosting.add_edge(f"h{i:02d}", f"h{j:02d}",
+                                     avgDelay=rng.uniform(5.0, 60.0))
+        query = QueryNetwork("query")
+        for i in range(4):
+            query.add_node(f"q{i}")
+        for i in range(1, 4):
+            query.add_edge(f"q{i - 1}", f"q{i}", minDelay=10.0, maxDelay=35.0)
+        unbanded = build_filters(query, hosting, WINDOW, UP)
+
+        def no_scalar_pass(*args, **kwargs):
+            raise AssertionError("a vectorizable build ran the scalar pass")
+
+        monkeypatch.setattr(filters_module, "_MAX_DENSE_CELLS", 128)
+        monkeypatch.setattr(filters_module, "_pair_verdicts_scalar",
+                            no_scalar_pass)
+        banded = build_filters(query, hosting, WINDOW, UP)
+        assert_blocks_equal(banded, unbanded)
+        assert banded.constraint_evaluations == unbanded.constraint_evaluations
+        assert banded.constraint_evaluations > 0
 
     def test_patch_above_the_guard_equals_rebuild(self, monkeypatch):
         """One host per packing band (guard at 0): bands carry the base
@@ -547,7 +582,7 @@ class TestKernelWordArrays:
 
 
 # --------------------------------------------------------------------------- #
-# Row compression on a sparse host above the dense-cell guard
+# Row compression on a sparse host packed in more than one band
 # --------------------------------------------------------------------------- #
 
 class TestSparseHostBytes:

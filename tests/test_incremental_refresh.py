@@ -366,7 +366,6 @@ class TestPlanRefreshRouting:
         plan = ECF().prepare(SearchRequest.build(query, hosting,
                                                  constraint=constraint))
         assert plan.refresh() is plan
-        assert plan.refresh(incremental=False) is not plan
 
     def test_structural_churn_recompiles(self):
         query, hosting, constraint, _ = build_workload(12, False)

@@ -239,22 +239,6 @@ class TestPickleHygiene:
         clone = pickle.loads(pickle.dumps(hosting))
         assert getattr(clone, "_hosting_compile", None) is None
 
-    def test_register_derived_cache_extends_strip_list(self):
-        from repro.graphs.network import Network
-
-        original = Network._DERIVED_CACHE_ATTRS
-        try:
-            Network.register_derived_cache("_test_cache_attr")
-            assert "_test_cache_attr" in Network._DERIVED_CACHE_ATTRS
-            Network.register_derived_cache("_test_cache_attr")  # idempotent
-            assert Network._DERIVED_CACHE_ATTRS.count("_test_cache_attr") == 1
-            query, hosting = ring_workload(6)
-            hosting._test_cache_attr = object()
-            clone = pickle.loads(pickle.dumps(hosting))
-            assert getattr(clone, "_test_cache_attr", None) is None
-        finally:
-            Network._DERIVED_CACHE_ATTRS = original
-
     def test_prepared_search_round_trip(self):
         from repro.api import SearchRequest
 

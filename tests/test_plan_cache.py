@@ -249,10 +249,16 @@ class TestAcquire:
 # --------------------------------------------------------------------------- #
 
 class TestServicePlanCache:
-    def test_hit_on_unchanged_model_version(self, service, path_query):
+    def test_hit_on_unchanged_model_version(self, service, small_hosting,
+                                            path_query):
+        """A warm hit answers exactly what a per-call search answers."""
+        per_call = ECF().request(SearchRequest.build(
+            path_query, small_hosting, constraint=WINDOW))
         first = service.embed(path_query, constraint=WINDOW, algorithm="ECF")
         second = service.embed(path_query, constraint=WINDOW, algorithm="ECF")
-        assert first.mappings == second.mappings
+        assert ([m.assignment for m in second.mappings]
+                == [m.assignment for m in first.mappings]
+                == [m.assignment for m in per_call.mappings])
         stats = service.plans.stats()
         assert stats["misses"] == 1 and stats["hits"] == 1
 
@@ -279,12 +285,20 @@ class TestServicePlanCache:
             == [m.assignment for m in fresh.mappings]
         assert len(second.mappings) < len(first.mappings)
 
-    def test_monitor_tick_invalidates(self, service, path_query):
+    def test_monitor_tick_invalidates(self, service, small_hosting,
+                                      path_query):
+        """After a tick the cached plan misses, and the answer is a fresh
+        search's on the mutated model."""
         service.embed(path_query, constraint=WINDOW, algorithm="ECF")
         monitor = service.attach_monitor("lab", rng=1)
         monitor.tick()
-        service.embed(path_query, constraint=WINDOW, algorithm="ECF")
-        assert service.plans.stats()["hits"] == 0
+        after = service.embed(path_query, constraint=WINDOW, algorithm="ECF")
+        stats = service.plans.stats()
+        assert stats["hits"] == 0 and stats["misses"] == 2
+        fresh = ECF().request(SearchRequest.build(path_query, small_hosting,
+                                                  constraint=WINDOW))
+        assert ([m.assignment for m in after.mappings]
+                == [m.assignment for m in fresh.mappings])
 
     def test_structurally_identical_queries_share_a_plan(self, service):
         """Fingerprints ignore the query's display name: two structurally

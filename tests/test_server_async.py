@@ -388,6 +388,26 @@ class TestErrors:
         assert response["error"] == "bad-request"
         assert "quantum-annealer" in response["message"]
 
+    @pytest.mark.parametrize("field", [{"max_results": 0}, {"seed": "abc"},
+                                       {"timeout": -1}],
+                             ids=["max_results", "seed", "timeout"])
+    def test_malformed_spec_field_is_refused_before_admission(
+            self, small_hosting, path_query, field):
+        """A frame the QuerySpec would reject is answered ``bad-request``
+        on arrival: it is never offered to admission, let alone run."""
+        async def scenario():
+            async with EmbeddingServer(make_registry(small_hosting)) as server:
+                async with await AsyncNetEmbedClient.connect(
+                        server.host, server.port) as client:
+                    response = await client.embed(path_query, **field)
+                    return response, server.stats()["admission"]
+
+        response, admission = run(scenario())
+        assert response["kind"] == "error"
+        assert response["error"] == "bad-request"
+        assert next(iter(field)) in response["message"]
+        assert admission["offered"] == 0
+
     def test_bad_query_payload_is_bad_request(self, small_hosting):
         async def scenario():
             async with EmbeddingServer(make_registry(small_hosting)) as server:
