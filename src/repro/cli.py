@@ -10,8 +10,6 @@ The subcommands cover the common workflows::
     python -m repro plan --hosting host.graphml --query query.graphml \
         --repeat 3 --tick 1
 
-    python -m repro churn --sites 60 --queries 4 --ticks 10
-
     python -m repro loadtest --scenario steady --scenario overload \
         --record trace.jsonl --output-dir results/harness
 
@@ -32,8 +30,6 @@ query specs through :meth:`NetEmbedService.submit_batch`; ``plan`` compiles
 an :class:`~repro.core.plan.EmbeddingPlan`, runs it repeatedly through the
 service's version-aware plan cache and explains the cache state (hits,
 misses, per-entry statistics, invalidation after monitor ticks);
-``churn`` drives an embed→tick→repair loop under sparse network churn and
-reports repair-vs-reembed cost;
 ``loadtest`` replays recorded arrival traces open-loop against a live
 serving tier across a scenario matrix (steady/overload/burst/diurnal/churn)
 and reports honest latency percentiles — measured from each request's
@@ -55,15 +51,33 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import repro.baselines  # noqa: F401 — registers the baselines for by-name use
 from repro.analysis import EXPERIMENTS, aggregate_series, format_figure, format_table, write_csv
 from repro.api import Capability, SearchRequest, default_registry
-from repro.constraints import ConstraintExpression
-from repro.graphs import HostingNetwork, QueryNetwork, read_graphml, write_graphml
+from repro.constraints import ConstraintError, ConstraintExpression
+from repro.graphs import GraphError, HostingNetwork, QueryNetwork, read_graphml, write_graphml
 from repro.topology import barabasi_albert, synthetic_planetlab_trace, transit_stub
+
+#: What a malformed file, path or expression raises; :func:`main` reports
+#: these as ``error: <message>`` with exit code 2 instead of a traceback.
+_INPUT_ERRORS = (OSError, ValueError, GraphError, ConstraintError)
+
+#: The search budget, in seconds, of every ``embed``/``plan``/``partition`` run.
+_SEARCH_TIMEOUT = 30.0
+
+
+@contextmanager
+def _input_error(prefix: str, *also: type) -> Iterator[None]:
+    """Re-raise an input error (or a ``TypeError`` from a malformed field, or
+    one of *also*) inside the block as a ``ValueError`` led by *prefix*."""
+    try:
+        yield
+    except (*_INPUT_ERRORS, TypeError, *also) as exc:
+        raise ValueError(f"{prefix}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,32 +87,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="NETEMBED: map virtual network requests onto a hosting network.")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    algorithm_names = default_registry().names()
+    # The flags ``embed`` and ``plan`` share: one query against one hosting file.
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--hosting", required=True, type=Path,
+                        help="GraphML file describing the hosting (real) network")
+    search.add_argument("--query", required=True, type=Path,
+                        help="GraphML file describing the query (virtual) network")
+    search.add_argument("--constraint", default=None,
+                        help="edge constraint expression (NETEMBED constraint language)")
+    search.add_argument("--algorithm", default="ECF", choices=default_registry().names(),
+                        help="which registered algorithm to run (default: ECF)")
+    search.add_argument("--max-results", type=int, default=None,
+                        help="stop after this many embeddings (default: all)")
+    search.add_argument("--seed", type=int, default=None,
+                        help="random seed for seedable algorithms (and, for "
+                             "plan, the monitor)")
+    search.add_argument("--json", action="store_true",
+                        help="print the result as JSON instead of plain text")
 
     embed = subparsers.add_parser(
-        "embed", help="embed a GraphML query network into a GraphML hosting network")
-    embed.add_argument("--hosting", required=True, type=Path,
-                       help="GraphML file describing the hosting (real) network")
-    embed.add_argument("--query", required=True, type=Path,
-                       help="GraphML file describing the query (virtual) network")
-    embed.add_argument("--constraint", default=None,
-                       help="edge constraint expression (NETEMBED constraint language)")
-    embed.add_argument("--node-constraint", default=None,
-                       help="node constraint expression over vNode/rNode")
-    embed.add_argument("--algorithm", default="ECF", choices=algorithm_names,
-                       help="which registered algorithm to run (default: ECF)")
-    embed.add_argument("--timeout", type=float, default=30.0,
-                       help="search budget in seconds (default: 30)")
-    embed.add_argument("--max-results", type=int, default=None,
-                       help="stop after this many embeddings (default: all)")
-    embed.add_argument("--seed", type=int, default=None,
-                       help="random seed (only used by seedable algorithms)")
+        "embed", parents=[search],
+        help="embed a GraphML query network into a GraphML hosting network")
     embed.add_argument("--parallelism", type=int, default=None,
                        help="shard the search across this many worker "
                             "processes (same mapping stream as serial; "
                             "default: serial)")
-    embed.add_argument("--json", action="store_true",
-                       help="print the result as JSON instead of plain text")
+    embed.set_defaults(run=_run_embed)
 
     batch = subparsers.add_parser(
         "batch", help="run a JSON file of query specs through the batch service")
@@ -106,38 +120,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="GraphML file registered as the batch's hosting network")
     batch.add_argument("--specs", required=True, type=Path,
                        help="JSON file: a list of spec objects with a 'query' "
-                            "GraphML path and optional constraint/algorithm/"
-                            "timeout/max_results/seed fields")
-    batch.add_argument("--workers", type=int, default=None,
-                       help="thread-pool size (default: executor default)")
-    batch.add_argument("--timeout", type=float, default=30.0,
-                       help="default per-query budget in seconds (default: 30)")
+                            "GraphML path and optional constraint/"
+                            "node_constraint/algorithm/timeout/max_results/"
+                            "seed/parallelism fields")
     batch.add_argument("--json", action="store_true",
                        help="print the responses as JSON instead of plain text")
+    batch.set_defaults(run=_run_batch)
 
-    list_algorithms = subparsers.add_parser(
-        "list-algorithms", help="list the registered algorithms and their capabilities")
-    list_algorithms.add_argument("--json", action="store_true",
-                                 help="print the registry as JSON")
-    list_algorithms.add_argument("--capability", action="append", default=None,
-                                 metavar="CAP",
-                                 choices=sorted(c.value for c in Capability),
-                                 help="only show algorithms declaring this "
-                                      "capability (repeatable)")
+    subparsers.add_parser(
+        "list-algorithms", help="list the registered algorithms and their capabilities"
+    ).set_defaults(run=_run_list_algorithms)
 
     plan = subparsers.add_parser(
-        "plan", help="compile an embedding plan, exercise the plan cache and "
-                     "explain its state")
-    plan.add_argument("--hosting", required=True, type=Path,
-                      help="GraphML file describing the hosting (real) network")
-    plan.add_argument("--query", required=True, type=Path,
-                      help="GraphML file describing the query (virtual) network")
-    plan.add_argument("--constraint", default=None,
-                      help="edge constraint expression")
-    plan.add_argument("--node-constraint", default=None,
-                      help="node constraint expression over vNode/rNode")
-    plan.add_argument("--algorithm", default="ECF", choices=algorithm_names,
-                      help="which registered algorithm to plan for (default: ECF)")
+        "plan", parents=[search],
+        help="compile an embedding plan, exercise the plan cache and explain its state")
     plan.add_argument("--repeat", type=int, default=3,
                       help="how many times to run the query against the "
                            "cache (default: 3; first run compiles, the rest hit)")
@@ -145,45 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="monitor refreshes applied after the repeats, "
                            "followed by one more run, to demonstrate "
                            "version-based invalidation (default: 0)")
-    plan.add_argument("--timeout", type=float, default=30.0,
-                      help="per-run search budget in seconds (default: 30)")
-    plan.add_argument("--max-results", type=int, default=None,
-                      help="per-run result cap (default: all)")
-    plan.add_argument("--seed", type=int, default=None,
-                      help="per-run seed for seedable algorithms and the monitor")
-    plan.add_argument("--json", action="store_true",
-                      help="print the cache explanation as JSON")
-
-    churn = subparsers.add_parser(
-        "churn", help="run an embed→tick→repair loop under sparse network "
-                      "churn and report repair-vs-reembed cost")
-    churn.add_argument("--hosting", type=Path, default=None,
-                       help="GraphML hosting network (default: synthetic "
-                            "PlanetLab trace with --sites sites)")
-    churn.add_argument("--sites", type=int, default=60,
-                       help="synthetic PlanetLab size when no --hosting "
-                            "file is given (default: 60)")
-    churn.add_argument("--queries", type=int, default=4,
-                       help="reserved embeddings to keep healthy (default: 4)")
-    churn.add_argument("--query-size", type=int, default=8,
-                       help="nodes per query (default: 8)")
-    churn.add_argument("--slack", type=float, default=0.35,
-                       help="delay-window slack of the generated queries "
-                            "(default: 0.35)")
-    churn.add_argument("--ticks", type=int, default=10,
-                       help="churn ticks to apply (default: 10)")
-    churn.add_argument("--link-fraction", type=float, default=0.05,
-                       help="fraction of links jittered per tick (default: 0.05)")
-    churn.add_argument("--node-fraction", type=float, default=0.05,
-                       help="fraction of nodes perturbed per tick (default: 0.05)")
-    churn.add_argument("--capacity", type=float, default=4.0,
-                       help="per-host reservation capacity (default: 4)")
-    churn.add_argument("--timeout", type=float, default=30.0,
-                       help="per-operation budget in seconds (default: 30)")
-    churn.add_argument("--seed", type=int, default=0,
-                       help="workload + churn RNG seed (default: 0)")
-    churn.add_argument("--json", action="store_true",
-                       help="print the scenario report as JSON")
+    plan.set_defaults(run=_run_plan)
 
     loadtest = subparsers.add_parser(
         "loadtest", help="replay trace-driven load scenarios against a live "
@@ -208,14 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="where per-scenario requests.csv/summary.json "
                                "and the combined loadtest.json are written "
                                "(default: benchmarks/results/harness)")
-    loadtest.add_argument("--partitions", type=int, default=None,
-                          help="serve every scenario through the partitioned "
-                               "cluster tier with this many balanced "
-                               "partitions (see repro.cluster)")
     loadtest.add_argument("--list", action="store_true",
                           help="list the named scenarios and exit")
-    loadtest.add_argument("--json", action="store_true",
-                          help="print the combined summary document as JSON")
+    loadtest.set_defaults(run=_run_loadtest)
 
     serve = subparsers.add_parser(
         "serve", help="run the asyncio serving tier over a hosting network")
@@ -227,9 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=0,
                        help="bind port (default: 0 = pick a free port; the "
                             "chosen port is announced on stdout)")
-    serve.add_argument("--timeout", type=float, default=30.0,
-                       help="default per-request search budget in seconds "
-                            "(default: 30)")
     serve.add_argument("--workers", type=int, default=2,
                        help="concurrent engine executions (default: 2)")
     serve.add_argument("--queue-depth", type=int, default=64,
@@ -261,6 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(overrides --partitions)")
     serve.add_argument("--json", action="store_true",
                        help="print the final stats snapshot as JSON on exit")
+    serve.set_defaults(run=_run_serve)
 
     recover = subparsers.add_parser(
         "recover", help="replay a reservation write-ahead log and report "
@@ -275,6 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "records for still-active reservations")
     recover.add_argument("--json", action="store_true",
                          help="print the recovery report as JSON")
+    recover.set_defaults(run=_run_recover)
 
     generate = subparsers.add_parser(
         "generate", help="generate a synthetic hosting network as GraphML")
@@ -285,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--seed", type=int, default=None, help="random seed")
     generate.add_argument("--output", type=Path, required=True,
                           help="output GraphML path")
+    generate.set_defaults(run=_run_generate)
 
     partition = subparsers.add_parser(
         "partition", help="shard a hosting network for the cluster tier and "
@@ -300,25 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(e.g. 'region' or 'zone') instead of "
                                 "balanced slicing")
     partition.add_argument("--query", type=Path, default=None,
-                           help="optional GraphML query to embed through the "
+                           help="optional GraphML query to embed (first "
+                                "match, ECF per partition) through the "
                                 "cluster coordinator")
     partition.add_argument("--constraint", default=None,
                            help="edge constraint expression")
-    partition.add_argument("--node-constraint", default=None,
-                           help="node constraint expression over vNode/rNode")
-    partition.add_argument("--algorithm", default="ECF", choices=algorithm_names,
-                           help="intra-partition algorithm (default: ECF)")
-    partition.add_argument("--timeout", type=float, default=30.0,
-                           help="search budget in seconds (default: 30)")
-    partition.add_argument("--max-results", type=int, default=1,
-                           help="stop after this many embeddings (default: 1)")
     partition.add_argument("--seed", type=int, default=None,
                            help="seed for the per-partition searches")
-    partition.add_argument("--no-cross-partition", action="store_true",
-                           help="disable the cross-partition split-and-stitch "
-                                "stage (single-partition placement only)")
     partition.add_argument("--json", action="store_true",
                            help="print the partition/search report as JSON")
+    partition.set_defaults(run=_run_partition)
 
     experiment = subparsers.add_parser(
         "experiment", help="run one of the paper's evaluation experiments")
@@ -332,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "scaled-down benchmark sizes (slow)")
     experiment.add_argument("--csv", type=Path, default=None,
                             help="also write the raw per-query rows to this CSV file")
+    experiment.set_defaults(run=_run_experiment)
 
     return parser
 
@@ -349,13 +294,10 @@ def _run_embed(args: argparse.Namespace) -> int:
         kwargs["rng"] = args.seed
     algorithm = info.create(**kwargs)
     constraint = ConstraintExpression(args.constraint) if args.constraint else None
-    node_constraint = (ConstraintExpression(args.node_constraint)
-                       if args.node_constraint else None)
 
     result = algorithm.request(SearchRequest.build(
-        query, hosting, constraint=constraint, node_constraint=node_constraint,
-        timeout=args.timeout, max_results=args.max_results,
-        parallelism=args.parallelism))
+        query, hosting, constraint=constraint, timeout=_SEARCH_TIMEOUT,
+        max_results=args.max_results, parallelism=args.parallelism))
 
     if args.json:
         print(json.dumps(_result_payload(result), indent=2))
@@ -381,35 +323,28 @@ def _result_payload(result) -> dict:
 def _run_batch(args: argparse.Namespace) -> int:
     from repro.service import NetEmbedService, QuerySpec
 
-    raw = json.loads(Path(args.specs).read_text())
+    raw = json.loads(args.specs.read_text())
     if not isinstance(raw, list):
-        print("error: the specs file must contain a JSON list of spec objects",
-              file=sys.stderr)
-        return 2
+        raise ValueError("the specs file must contain a JSON list of spec objects")
 
-    base_dir = Path(args.specs).parent
-    with NetEmbedService(default_timeout=args.timeout,
-                         max_workers=args.workers) as service:
+    with NetEmbedService() as service:
         service.register_network_from_graphml(args.hosting)
         specs = []
         for index, entry in enumerate(raw):
             if not isinstance(entry, dict) or "query" not in entry:
-                print(f"error: spec #{index} must be an object with a 'query' path",
-                      file=sys.stderr)
-                return 2
-            query_path = Path(entry["query"])
-            if not query_path.is_absolute():
-                query_path = base_dir / query_path
-            specs.append(QuerySpec(
-                query=read_graphml(query_path, cls=QueryNetwork),
-                constraint=entry.get("constraint"),
-                node_constraint=entry.get("node_constraint"),
-                algorithm=entry.get("algorithm", "auto"),
-                timeout=entry.get("timeout"),
-                max_results=entry.get("max_results"),
-                seed=entry.get("seed"),
-                parallelism=entry.get("parallelism"),
-            ))
+                raise ValueError(f"spec #{index} must be an object with a 'query' path")
+            with _input_error(f"spec #{index}"):
+                specs.append(QuerySpec(
+                    query=read_graphml(args.specs.parent / entry["query"],
+                                       cls=QueryNetwork),
+                    constraint=entry.get("constraint"),
+                    node_constraint=entry.get("node_constraint"),
+                    algorithm=entry.get("algorithm", "auto"),
+                    timeout=entry.get("timeout"),
+                    max_results=entry.get("max_results"),
+                    seed=entry.get("seed"),
+                    parallelism=entry.get("parallelism"),
+                ))
         responses = service.submit_batch(specs)
 
     if args.json:
@@ -435,16 +370,14 @@ def _run_plan(args: argparse.Namespace) -> int:
     from repro.service import NetEmbedService, QuerySpec
 
     if args.repeat < 1:
-        print("error: --repeat must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--repeat must be >= 1")
 
     query = read_graphml(args.query, cls=QueryNetwork)
-    service = NetEmbedService(default_timeout=args.timeout)
+    service = NetEmbedService()
     network_name = service.register_network_from_graphml(args.hosting)
 
     spec = QuerySpec(query=query, constraint=args.constraint,
-                     node_constraint=args.node_constraint,
-                     algorithm=args.algorithm, timeout=args.timeout,
+                     algorithm=args.algorithm, timeout=_SEARCH_TIMEOUT,
                      max_results=args.max_results, seed=args.seed)
 
     def cache_label(before, after):
@@ -493,9 +426,8 @@ def _run_plan(args: argparse.Namespace) -> int:
     } for entry in service.plans.entries()]
 
     if args.json:
-        # "cache" stays for compatibility; "service" is the same
-        # consolidated snapshot the serving tier's metrics endpoint returns.
-        print(json.dumps({"cache": stats, "service": service_stats,
+        # "service" is the same snapshot the serving tier's metrics endpoint returns.
+        print(json.dumps({"service": service_stats,
                           "entries": entries, "runs": runs,
                           "invalidation": invalidation}, indent=2))
         return 0
@@ -525,136 +457,8 @@ def _run_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_churn(args: argparse.Namespace) -> int:
-    """The embed→tick→repair scenario: keep reservations healthy under churn.
-
-    Embeds and reserves a suite of feasible queries, then applies sparse
-    attribute churn tick by tick.  After every tick each reservation is
-    repaired in place (only violated assignments move) and, for comparison,
-    the same query is answered from scratch — the cost the service would pay
-    by re-embedding instead.  One cache-routed traffic query per tick also
-    demonstrates the plan cache's patched-vs-recompiled refresh path.
-    """
-    import time as _time
-
-    from repro.service import NetEmbedService
-    from repro.workloads import ChurnConfig, ChurnProcess, churn_embedding_suite
-    from repro.utils.rng import as_rng
-
-    if args.ticks < 1:
-        print("error: --ticks must be >= 1", file=sys.stderr)
-        return 2
-    rng = as_rng(args.seed)
-    if args.hosting is not None:
-        hosting = read_graphml(args.hosting, cls=HostingNetwork)
-    else:
-        from repro.topology import synthetic_planetlab_trace as _planetlab
-        hosting = _planetlab(num_sites=args.sites, rng=rng)
-    for node in hosting.nodes():
-        hosting.set_capacity(node, args.capacity)
-
-    service = NetEmbedService(default_timeout=args.timeout)
-    network_name = service.register_network(hosting, name=hosting.name)
-    workloads = churn_embedding_suite(hosting, num_queries=args.queries,
-                                      query_size=args.query_size,
-                                      slack=args.slack, rng=rng)
-
-    from repro.service import QuerySpec
-
-    reservations = []
-    for workload in workloads:
-        response = service.submit(QuerySpec(
-            query=workload.query, constraint=workload.constraint,
-            algorithm="ECF", max_results=1, reserve=True,
-            timeout=args.timeout))
-        if response.reservation_id is None:
-            print(f"error: query {workload.query.name!r} found no embedding "
-                  f"to reserve", file=sys.stderr)
-            return 1
-        reservations.append((response.reservation_id, workload))
-    traffic_spec = QuerySpec(query=workloads[0].query,
-                             constraint=workloads[0].constraint,
-                             algorithm="ECF", max_results=1,
-                             timeout=args.timeout)
-
-    churn = ChurnProcess(hosting, ChurnConfig(
-        link_fraction=args.link_fraction,
-        node_fraction=args.node_fraction), rng=rng)
-
-    totals = {"intact": 0, "repaired": 0, "failed": 0, "timeout": 0,
-              "moved_nodes": 0}
-    repair_seconds = 0.0
-    reembed_seconds = 0.0
-    ticks = []
-    for _ in range(args.ticks):
-        tick = churn.tick()
-        service.registry.touch(network_name)
-        tick_row = {"tick": tick.index,
-                    "touched_edges": len(tick.touched_edges),
-                    "touched_nodes": len(tick.touched_nodes),
-                    "repairs": []}
-        for reservation_id, workload in reservations:
-            repair = service.repair(reservation_id, timeout=args.timeout)
-            repair_seconds += repair.result.elapsed_seconds
-            started = _time.perf_counter()
-            fresh = service.submit(QuerySpec(
-                query=workload.query, constraint=workload.constraint,
-                algorithm="ECF", max_results=1, timeout=args.timeout))
-            reembed_seconds += _time.perf_counter() - started
-            totals[repair.status] = totals.get(repair.status, 0) + 1
-            totals["moved_nodes"] += len(repair.moved)
-            tick_row["repairs"].append({
-                "reservation": reservation_id,
-                "status": repair.status,
-                "moved": len(repair.moved),
-                "repair_ms": repair.result.elapsed_seconds * 1000,
-                "reembed_found": fresh.found,
-            })
-        service.submit(traffic_spec)   # exercise the plan cache under churn
-        ticks.append(tick_row)
-
-    cache = service.plans.stats()
-    ratio = reembed_seconds / repair_seconds if repair_seconds > 0 else float("inf")
-    report = {
-        "network": {"name": network_name, "nodes": hosting.num_nodes,
-                    "edges": hosting.num_edges},
-        "scenario": {"queries": len(reservations), "ticks": args.ticks,
-                     "link_fraction": args.link_fraction,
-                     "node_fraction": args.node_fraction, "seed": args.seed},
-        "repair": dict(totals),
-        "cost": {"repair_seconds": repair_seconds,
-                 "reembed_seconds": reembed_seconds,
-                 "reembed_over_repair": ratio},
-        "plan_cache": cache,
-        "ticks": ticks,
-    }
-    if args.json:
-        print(json.dumps(report, indent=2))
-        return 0
-
-    print(f"churn scenario on {network_name!r}: {hosting.num_nodes} nodes / "
-          f"{hosting.num_edges} edges, {len(reservations)} reserved "
-          f"embeddings, {args.ticks} ticks "
-          f"(link fraction {args.link_fraction}, node fraction "
-          f"{args.node_fraction})")
-    checks = sum(totals.get(k, 0) for k in ("intact", "repaired", "failed",
-                                            "timeout"))
-    print(f"repairs: {checks} checks -> {totals['intact']} intact, "
-          f"{totals['repaired']} repaired ({totals['moved_nodes']} node "
-          f"moves), {totals['failed']} failed, {totals['timeout']} timed out")
-    print(f"cost:    repair {repair_seconds * 1000:8.1f} ms total vs "
-          f"re-embed {reembed_seconds * 1000:8.1f} ms total "
-          f"({ratio:.1f}x in favour of repair)")
-    print(f"plan cache: {cache['hits']} hits / {cache['misses']} misses, "
-          f"{cache['patched']} patched vs {cache['recompiled']} recompiled "
-          f"refreshes")
-    return 0 if totals["failed"] == 0 and totals["timeout"] == 0 else 1
-
-
 def _run_loadtest(args: argparse.Namespace) -> int:
     """Replay trace-driven scenarios against a live server and report."""
-    import dataclasses
-
     from repro.analysis import environment_info
     from repro.harness import (
         DEFAULT_MATRIX,
@@ -675,35 +479,19 @@ def _run_loadtest(args: argparse.Namespace) -> int:
 
     sources = list(args.scenario) if args.scenario else list(DEFAULT_MATRIX)
     if (args.record or args.replay) and len(sources) != 1:
-        print("error: --record/--replay require exactly one --scenario",
-              file=sys.stderr)
-        return 2
-    try:
-        configs = [load_scenario(source) for source in sources]
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.partitions is not None:
-        configs = [dataclasses.replace(config, partitions=args.partitions)
-                   for config in configs]
+        raise ValueError("--record/--replay require exactly one --scenario")
+    configs = [load_scenario(source) for source in sources]
 
     replay_trace = None
     if args.replay is not None:
-        try:
+        with _input_error(f"cannot read trace {args.replay}"):
             replay_trace = read_trace(args.replay)
-        except (ValueError, OSError) as exc:
-            print(f"error: cannot read trace {args.replay}: {exc}",
-                  file=sys.stderr)
-            return 2
 
     summaries = {}
     exit_code = 0
     for config in configs:
-        try:
+        with _input_error(f"scenario {config.name!r}"):
             run = run_scenario(config, seed=args.seed, trace=replay_trace)
-        except ValueError as exc:
-            print(f"error: scenario {config.name!r}: {exc}", file=sys.stderr)
-            return 2
         if args.record is not None:
             write_trace(run.trace, args.record)
             print(f"recorded {len(run.trace.arrivals)} arrival(s) / "
@@ -745,10 +533,7 @@ def _run_loadtest(args: argparse.Namespace) -> int:
     combined_path.write_text(
         json.dumps(combined, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
-    if args.json:
-        print(json.dumps(combined, indent=2, sort_keys=True))
-    else:
-        print(f"wrote per-scenario artifacts and {combined_path}")
+    print(f"wrote per-scenario artifacts and {combined_path}")
     return exit_code
 
 
@@ -766,19 +551,14 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     admission_kwargs = {"max_queue_depth": args.queue_depth}
     if args.qos is not None:
-        try:
+        with _input_error(f"cannot load QoS policies from {args.qos}"):
             qos = json.loads(args.qos.read_text())
             if "default" in qos:
                 admission_kwargs["default_policy"] = TenantPolicy(**qos["default"])
             admission_kwargs["tenants"] = {
                 name: TenantPolicy(**policy)
                 for name, policy in qos.get("tenants", {}).items()}
-        except (OSError, ValueError, TypeError) as exc:
-            print(f"error: cannot load QoS policies from {args.qos}: {exc}",
-                  file=sys.stderr)
-            return 2
-    config = ServerConfig(default_timeout=args.timeout,
-                          engine_workers=args.workers,
+    config = ServerConfig(engine_workers=args.workers,
                           admission=AdmissionConfig(**admission_kwargs))
     service = None
     if args.partitions is not None or args.partition_attribute is not None:
@@ -795,12 +575,8 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     if args.wal is not None:
         from repro.service.wal import WALError
-        try:
+        with _input_error(f"cannot recover WAL {args.wal}", WALError):
             report = registry.service.attach_wal(args.wal)
-        except (WALError, OSError, ValueError) as exc:
-            print(f"error: cannot recover WAL {args.wal}: {exc}",
-                  file=sys.stderr)
-            return 2
         print(f"wal: replayed {report['records']} record(s) from "
               f"{args.wal} ({report['active']} active reservation(s), "
               f"{report['skipped']} torn line(s) skipped)", flush=True)
@@ -808,12 +584,8 @@ def _run_serve(args: argparse.Namespace) -> int:
     fault_plan = None
     if args.fault_plan is not None:
         from repro import faults
-        try:
+        with _input_error(f"cannot load fault plan from {args.fault_plan}"):
             fault_plan = faults.FaultPlan.from_json(args.fault_plan)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load fault plan from {args.fault_plan}: "
-                  f"{exc}", file=sys.stderr)
-            return 2
 
     async def run() -> dict:
         server = EmbeddingServer(registry, host=args.host, port=args.port)
@@ -866,11 +638,8 @@ def _run_recover(args: argparse.Namespace) -> int:
 
     service = NetEmbedService()
     name = service.register_network_from_graphml(args.hosting, default=True)
-    try:
+    with _input_error(f"cannot recover WAL {args.wal}", WALError):
         report = service.attach_wal(args.wal)
-    except (WALError, OSError, ValueError) as exc:
-        print(f"error: cannot recover WAL {args.wal}: {exc}", file=sys.stderr)
-        return 2
     report["network"] = name
     report["reservations"] = service.reservations.snapshot()
     if args.compact:
@@ -893,21 +662,7 @@ def _run_recover(args: argparse.Namespace) -> int:
 
 
 def _run_list_algorithms(args: argparse.Namespace) -> int:
-    registry = default_registry()
-    infos = (registry.with_capabilities(*args.capability)
-             if args.capability else registry.infos())
-    if args.json:
-        payload = [{
-            "name": info.name,
-            "capabilities": sorted(c.value for c in info.capabilities),
-            "tags": sorted(info.tags),
-            "summary": info.summary,
-        } for info in infos]
-        print(json.dumps(payload, indent=2))
-        return 0
-    if not infos:
-        print("no registered algorithms match")
-        return 1
+    infos = default_registry().infos()
     width = max(len(info.name) for info in infos)
     for info in infos:
         caps = ", ".join(sorted(c.value for c in info.capabilities))
@@ -932,20 +687,15 @@ def _run_partition(args: argparse.Namespace) -> int:
     from repro.cluster import ClusterCoordinator
 
     hosting = read_graphml(args.hosting, cls=HostingNetwork)
-    info = default_registry().get(args.algorithm)
-    coordinator = ClusterCoordinator(
-        hosting, attribute=args.attribute,
-        num_partitions=args.partitions, algorithm=info.create())
+    coordinator = ClusterCoordinator(hosting, attribute=args.attribute,
+                                     num_partitions=args.partitions)
     stats = coordinator.stats()
     report = {"partition": stats}
 
     if args.query is not None:
         query = read_graphml(args.query, cls=QueryNetwork)
-        result = coordinator.embed(
-            query, constraint=args.constraint,
-            node_constraint=args.node_constraint, timeout=args.timeout,
-            max_results=args.max_results, seed=args.seed,
-            cross_partition=not args.no_cross_partition)
+        result = coordinator.embed(query, constraint=args.constraint,
+                                   timeout=_SEARCH_TIMEOUT, seed=args.seed)
         report["search"] = {
             "verdict": result.verdict,
             "found": result.found,
@@ -1006,32 +756,12 @@ def _run_experiment(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point used by ``python -m repro`` and the console script."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "embed":
-        return _run_embed(args)
-    if args.command == "batch":
-        return _run_batch(args)
-    if args.command == "plan":
-        return _run_plan(args)
-    if args.command == "churn":
-        return _run_churn(args)
-    if args.command == "loadtest":
-        return _run_loadtest(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "recover":
-        return _run_recover(args)
-    if args.command == "list-algorithms":
-        return _run_list_algorithms(args)
-    if args.command == "generate":
-        return _run_generate(args)
-    if args.command == "partition":
-        return _run_partition(args)
-    if args.command == "experiment":
-        return _run_experiment(args)
-    parser.error(f"unknown command {args.command!r}")   # pragma: no cover
-    return 2
+    args = build_parser().parse_args(argv)
+    try:
+        return args.run(args)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":   # pragma: no cover

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
+import ast
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from repro import ECF, SearchRequest, default_registry
 from repro.cli import build_parser, main
 from repro.graphs import HostingNetwork, QueryNetwork, read_graphml, write_graphml
 
@@ -16,6 +21,8 @@ def graphml_pair(tmp_path, small_hosting, path_query):
     query_path = write_graphml(path_query, tmp_path / "query.graphml")
     return host_path, query_path
 
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 WINDOW = "rEdge.avgDelay >= vEdge.minDelay && rEdge.avgDelay <= vEdge.maxDelay"
 
@@ -101,7 +108,7 @@ class TestPlanCommand:
                      "--seed", "4", "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["cache"]["hits"] == 1
+        assert payload["service"]["plan_cache"]["hits"] == 1
         assert payload["runs"][0]["cache"] == "miss"
         assert payload["runs"][1]["cache"] == "hit"
         # the monitor tick bumped the model version: the re-run must miss
@@ -117,7 +124,8 @@ class TestPlanCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert [run["cache"] for run in payload["runs"]] == ["bypass", "bypass"]
-        assert payload["cache"]["hits"] == 0 and payload["cache"]["misses"] == 0
+        cache = payload["service"]["plan_cache"]
+        assert cache["hits"] == 0 and cache["misses"] == 0
 
     def test_rejects_nonpositive_repeat(self, graphml_pair, capsys):
         host_path, query_path = graphml_pair
@@ -126,33 +134,40 @@ class TestPlanCommand:
         assert code == 2
 
 
-class TestChurnCommand:
-    def test_plain_output_reports_repair_and_cache(self, capsys):
-        code = main(["churn", "--sites", "24", "--queries", "2",
-                     "--query-size", "5", "--ticks", "3", "--seed", "4"])
-        captured = capsys.readouterr().out
-        assert code == 0
-        assert "churn scenario" in captured
-        assert "repairs:" in captured and "intact" in captured
-        assert "re-embed" in captured
-        assert "patched" in captured and "recompiled" in captured
-
-    def test_json_output_shape(self, capsys):
-        code = main(["churn", "--sites", "20", "--queries", "2",
-                     "--query-size", "4", "--ticks", "2", "--seed", "5",
+class TestBatchCommand:
+    def test_json_rows_match_direct_searches(self, graphml_pair, tmp_path,
+                                             small_hosting, path_query, capsys):
+        host_path, query_path = graphml_pair
+        node_screen = "rNode.cpuLoad < 0.5"
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps([
+            {"query": query_path.name, "constraint": WINDOW, "algorithm": "ECF"},
+            {"query": str(query_path), "constraint": WINDOW, "algorithm": "ECF",
+             "node_constraint": node_screen, "timeout": 5},
+        ]))
+        code = main(["batch", "--hosting", str(host_path), "--specs", str(specs),
                      "--json"])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["scenario"]["ticks"] == 2
-        checks = payload["repair"]
-        assert (checks["intact"] + checks["repaired"] + checks["failed"]
-                + checks["timeout"]) == 2 * 2
-        assert payload["cost"]["repair_seconds"] >= 0
-        assert "patched" in payload["plan_cache"]
-        assert len(payload["ticks"]) == 2
+        rows = json.loads(capsys.readouterr().out)
 
-    def test_rejects_bad_tick_count(self):
-        assert main(["churn", "--ticks", "0"]) == 2
+        def expected(**screens):
+            result = ECF().request(SearchRequest.build(
+                path_query, small_hosting, constraint=WINDOW, **screens))
+            return [{str(q): str(r) for q, r in m.items()} for m in result.mappings]
+
+        assert [row["index"] for row in rows] == [0, 1]
+        assert all(row["algorithm"] == "ECF" and row["status"] == "complete"
+                   for row in rows)
+        assert rows[0]["mappings"] == expected()
+        assert rows[1]["mappings"] == expected(node_constraint=node_screen)
+        assert 0 < len(rows[1]["mappings"]) < len(rows[0]["mappings"])
+
+
+def test_list_algorithms_prints_every_registered_name(capsys):
+    assert main(["list-algorithms"]) == 0
+    listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line and not line[0].isspace()}
+    assert listed == set(default_registry().names())
 
 
 class TestGenerateCommand:
@@ -264,3 +279,101 @@ class TestServeCommand:
         assert response["kind"] == "result" and response["mappings"]
         assert metrics["admission"]["completed"] >= 1
         assert metrics["server"]["requests"]["embed"] == 1
+
+
+class TestInputErrors:
+    """A malformed input is one ``error:`` line and exit code 2, never a
+    traceback out of :func:`main`."""
+
+    @pytest.fixture
+    def inputs(self, graphml_pair, tmp_path):
+        host_path, query_path = graphml_pair
+
+        def specs(text):
+            path = tmp_path / "specs.json"
+            path.write_text(text)
+            return ["batch", "--hosting", str(host_path), "--specs", str(path)]
+
+        search = ["--hosting", str(host_path), "--query", str(query_path)]
+        return {
+            "batch-invalid-json": lambda: specs("[{"),
+            "batch-missing-specs": lambda: [
+                "batch", "--hosting", str(host_path),
+                "--specs", str(tmp_path / "absent.json")],
+            "batch-bad-timeout": lambda: specs(json.dumps(
+                [{"query": str(query_path), "timeout": "abc"}])),
+            "batch-missing-query": lambda: specs(json.dumps(
+                [{"query": "absent.graphml"}])),
+            "embed-bad-constraint": lambda: [
+                "embed", *search, "--constraint", "rEdge.avgDelay <="],
+            "plan-bad-constraint": lambda: [
+                "plan", *search, "--constraint", "rEdge.avgDelay <="],
+            "embed-missing-hosting": lambda: [
+                "embed", "--hosting", str(tmp_path / "absent.graphml"),
+                "--query", str(query_path)],
+            "plan-missing-query": lambda: [
+                "plan", "--hosting", str(host_path),
+                "--query", str(tmp_path / "absent.graphml")],
+        }
+
+    @pytest.mark.parametrize("case", [
+        "batch-invalid-json", "batch-missing-specs", "batch-bad-timeout",
+        "batch-missing-query", "embed-bad-constraint", "plan-bad-constraint",
+        "embed-missing-hosting", "plan-missing-query"])
+    def test_reports_one_error_line(self, inputs, case, capsys):
+        assert main(inputs[case]()) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_batch_names_the_bad_spec(self, inputs, capsys):
+        assert main(inputs["batch-bad-timeout"]()) == 2
+        assert capsys.readouterr().err.startswith("error: spec #0: ")
+
+
+def _readme_invocations():
+    """``(command, text)`` for each ``python -m repro <command> ...`` in
+    README.md, up to the end of its line (continuations joined) or its
+    closing backtick."""
+    text = (REPO_ROOT / "README.md").read_text().replace("\\\n", " ")
+    for match in re.finditer(r"python -m repro ([\w-]+)([^`\n]*)", text):
+        yield match.group(1), match.group(2)
+
+
+def _argv_invocations():
+    """``(command, strings)`` for each list literal under tests/ and
+    benchmarks/ that reads as an argv: its first string (or the one after
+    ``"repro"``) names a subcommand."""
+    commands = set(_subparsers())
+    for path in [*(REPO_ROOT / "tests").rglob("*.py"),
+                 *(REPO_ROOT / "benchmarks").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.List):
+                continue
+            strings = [elt.value for elt in node.elts
+                       if isinstance(elt, ast.Constant) and isinstance(elt.value, str)]
+            if "repro" in strings:
+                strings = strings[strings.index("repro") + 1:]
+            if strings and strings[0] in commands:
+                yield strings[0], " ".join(strings[1:])
+
+
+def _subparsers():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_every_cli_flag_has_a_caller():
+    """A flag no README command, test or benchmark passes does not exist.
+    ``serve --host`` is exempt: a bind address is a deployment setting."""
+    called = {}
+    for command, text in [*_readme_invocations(), *_argv_invocations()]:
+        called.setdefault(command, set()).update(re.findall(r"--[\w-]+", text))
+    uncalled = [(command, flag)
+                for command, subparser in _subparsers().items()
+                for action in subparser._actions
+                for flag in action.option_strings
+                if flag.startswith("--") and flag != "--help"
+                and (command, flag) != ("serve", "--host")
+                and flag not in called.get(command, ())]
+    assert not uncalled, f"CLI flags with no caller: {uncalled}"
