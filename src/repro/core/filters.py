@@ -26,11 +26,29 @@ row-compressed little-endian ``uint64`` array ``words[row, word]`` over the
 dense hosting-node index of :class:`~repro.core.indexing.NodeIndexer`, one
 row per placed host whose cell is non-empty.  :func:`build_filters` and
 :func:`patch_filters` both end in the same producer (:func:`_pack_cells`:
-one scatter of the boolean verdict row, one ``np.packbits``), the search
-kernel (:mod:`repro.core.kernel`) reads the blocks, pickling ships them, and
-the size statistics are counted while packing.  ``F̄`` is never stored: a
-non-match cell is the placed host's oriented-arc row minus its ``F`` cell,
-derived on demand from the :class:`HostingCompile`'s packed arc adjacency.
+one scatter of the boolean verdict row or of the admitted cells, one
+``np.packbits``), the search kernel (:mod:`repro.core.kernel`) reads the
+blocks, pickling ships them, and the size statistics are counted while
+packing.  ``F̄`` is never stored: a non-match cell is the placed host's
+oriented-arc row minus its ``F`` cell, derived on demand from the
+:class:`HostingCompile`'s packed arc adjacency.
+
+**Interval blocks.**  The paper's experiments run one constraint shape, a
+window on one hosting-edge attribute: ``rEdge.X >= lo && rEdge.X <= hi``
+with each bound a ``vEdge`` attribute or a numeric literal
+(:func:`_interval_shape`, memoised on the expression).  Where the build
+would run the batch kernel and pack each pair once — both networks
+undirected, no node screening, the bounds and the ``X`` column numeric —
+:func:`_interval_blocks` reads the window off a sorted index instead
+(:meth:`HostingCompile.interval_index`, one lazy memo per attribute: the
+rows with ``X`` present and not NaN, keyed by placed host and the rank of
+``X`` among its distinct values, with their cell addresses).  Four
+``searchsorted`` calls and one gather give the admitted cells, which are
+packed with no verdict row.  Blocks and counters equal the batch kernel's:
+``constraint_evaluations`` credits every existing arc row per query edge,
+and a missing or NaN bound admits nothing.  :func:`patch_hosting_compile`
+drops the index of each attribute whose column it rewrites; every other
+build takes the verdict-row path unchanged.
 
 Nothing here is dict- or set-shaped: :class:`FilterMatrices` is blocks, the
 arc adjacency, the node masks and counts.  Tests and diagnostics that want
@@ -42,13 +60,20 @@ module requires it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.constraints import ConstraintExpression
-from repro.constraints.ast_nodes import referenced_attributes
+from repro.constraints.ast_nodes import (
+    AttributeRef,
+    BinaryOp,
+    BoolOp,
+    NumberLiteral,
+    referenced_attributes,
+)
 from repro.constraints.vectorizer import cached_vector_kernel
 from repro.core.indexing import WORD_BITS, NodeIndexer, word_count
 from repro.core.words import unpack_masks, words_to_mask
@@ -215,6 +240,11 @@ class HostingCompile:
     #: array pair, or ``None`` when the attribute is non-numeric somewhere.
     _columns: Dict[Tuple[int, str], Optional[Tuple]] = field(
         default_factory=dict, repr=False)
+    #: Memoised window indexes, one per ``rEdge`` attribute
+    #: (:meth:`interval_index`); :func:`patch_hosting_compile` drops the
+    #: index of every attribute whose column it rewrites.
+    _interval_indexes: Dict[str, Tuple] = field(default_factory=dict,
+                                                repr=False)
     #: Lazy reverse indexes from hosting node / unordered node pair to the
     #: ``host_pair_info`` rows that read their attribute dicts — the lookup
     #: the incremental patch paths use to turn a mutation delta into the set
@@ -281,8 +311,7 @@ class HostingCompile:
         memo needs no invalidation of its own.
         """
         if self._arcs is None:
-            cell_ab = self.cell_addresses()[0]
-            self._arcs = _pack_cells(cell_ab, np.ones(len(cell_ab), dtype=bool),
+            self._arcs = _pack_cells(self.cell_addresses()[0], None,
                                      self.num_hosts)
         return self._arcs
 
@@ -310,8 +339,12 @@ class HostingCompile:
 
         Returns ``None`` when any defined value is non-numeric — the scalar
         path owns those semantics.  Both outcomes are memoised, keyed by the
-        ``host_pair_info`` slot the column reads from.
+        ``host_pair_info`` slot the column reads from.  On an undirected
+        hosting network slots 4 and 5 hold the same edge dict, so slot 5
+        answers with slot 4's column.
         """
+        if source_index == 5 and not self.hosting.directed:
+            source_index = 4
         key = (source_index, attr)
         if key in self._columns:
             return self._columns[key]
@@ -332,6 +365,54 @@ class HostingCompile:
                 break
         self._columns[key] = result
         return result
+
+    def interval_index(self, attr: str) -> Optional[Tuple]:
+        """``(keys, cells, distinct, host_keys)``: the arc rows sorted by
+        placed host, then by their ``rEdge`` *attr* (lazy, per attribute).
+
+        Only rows whose value is present and not NaN are indexed: no window
+        admits the others.  ``distinct`` holds the values in ascending
+        order; a row's key is ``ra_idx × stride + rank of its value in
+        distinct``, with ``stride = len(distinct)``, so each host's rows are
+        one run of ``keys`` and a value window is one contiguous slice of it.
+        ``cells`` are the rows' ``cell_ab`` addresses in the same order, and
+        ``host_keys`` is every host's first key.  Ranks keep each comparison
+        exact, where a float key would round.  ``None`` when the column is
+        non-numeric somewhere.
+        """
+        index = self._interval_indexes.get(attr)
+        if index is not None:
+            return index
+        column = self.column(4, attr)
+        if column is None:
+            return None
+        values, missing = column
+        rows = np.flatnonzero(~(missing | np.isnan(values)))
+        distinct = np.sort(values[rows])
+        # Repeats dropped by hand: np.unique would import numpy.ma (~1 MB).
+        fresh = np.ones(len(distinct), dtype=bool)
+        fresh[1:] = distinct[1:] != distinct[:-1]
+        distinct = distinct[fresh]
+        del fresh
+        stride = max(1, len(distinct))
+        padded = word_count(self.num_hosts) * WORD_BITS
+        # int32 wherever every key and cell address fits (at 296 sites and
+        # at 9.6k): half the bytes to keep.  The dels bound the transient.
+        dtype = (np.int32 if self.num_hosts * max(stride, padded) < 2 ** 31
+                 else np.int64)
+        keys = np.searchsorted(distinct, values[rows]).astype(dtype)
+        placed = self.index_arrays()[0][rows].astype(dtype)
+        placed *= stride
+        keys += placed
+        del placed
+        order = np.argsort(keys)
+        keys = keys[order]
+        rows = rows[order]
+        del order
+        index = self._interval_indexes[attr] = (
+            keys, self.cell_addresses()[0][rows].astype(dtype), distinct,
+            np.arange(self.num_hosts, dtype=dtype) * stride)
+        return index
 
     def rows_for(self, nodes=(), edges=()) -> List[int]:
         """Indices of ``host_pair_info`` rows reading the given subjects.
@@ -460,6 +541,8 @@ def patch_hosting_compile(compiled: HostingCompile,
     memoised vectorizer columns, whose touched rows are re-read in place.
     ``None``-columns (non-numeric somewhere) are dropped from the memo so
     they re-derive lazily — the offending value may have become numeric.
+    The window index of every ``rEdge`` attribute whose column is rewritten
+    is dropped too, and the next build that wants it sorts it afresh.
 
     Returns ``True`` when the compile was patched (epoch advanced to the
     delta's target); ``False`` when the delta is unavailable or structural,
@@ -490,6 +573,9 @@ def patch_hosting_compile(compiled: HostingCompile,
                 touched_rows[(on_edges, attr)] = rows
             if not rows:
                 continue
+            if source_index == 4:
+                # The window index sorts this column's old values.
+                compiled._interval_indexes.pop(attr, None)
             if column is None:
                 # The offending value may have become numeric: forget the
                 # verdict and let column() re-derive it lazily.
@@ -570,10 +656,16 @@ def build_filters(query: QueryNetwork, hosting: HostingNetwork,
         compiled = compile_hosting(hosting)
     indexer = compiled.indexer
     allowed_masks = _screen_nodes(query, hosting, node_constraint, indexer)
-    verdicts, evaluations = _pair_verdicts(
-        query, constraint, _pair_edges(query), compiled, allowed_masks,
-        deadline)
-    blocks = _pack_pairs(query, constraint, verdicts, compiled, allowed_masks)
+    pair_edges = _pair_edges(query)
+    interval = _interval_blocks(query, constraint, pair_edges, compiled,
+                                allowed_masks, deadline)
+    if interval is not None:
+        blocks, evaluations = interval
+    else:
+        verdicts, evaluations = _pair_verdicts(
+            query, constraint, pair_edges, compiled, allowed_masks, deadline)
+        blocks = _pack_pairs(query, constraint, verdicts, compiled,
+                             allowed_masks)
     filters = FilterMatrices(
         host_indexer=indexer,
         blocks=blocks,
@@ -677,6 +769,125 @@ def _vector_plan(constraint):
            for obj, _ in keys):
         return None
     return kernel, keys
+
+
+#: Attribute under which :func:`_interval_shape` memoises its answer on the
+#: expression (a one-tuple, as the vectorizer's kernel cache does).
+_INTERVAL_CACHE_ATTR = "_interval_shape_cache"
+
+
+def _interval_shape(constraint):
+    """``(attr, low, high)`` when the edge constraint reads exactly
+    ``rEdge.attr >= low && rEdge.attr <= high`` — each bound a ``vEdge``
+    attribute (its ``(object, attribute)`` key) or a numeric literal (a
+    float) — else ``None``.  Memoised on the expression."""
+    cached = getattr(constraint, _INTERVAL_CACHE_ATTR, None)
+    if cached is None:
+        cached = (_match_interval(constraint.ast),)
+        try:
+            setattr(constraint, _INTERVAL_CACHE_ATTR, cached)
+        except AttributeError:  # slots/frozen objects: match again next time
+            pass
+    return cached[0]
+
+
+def _match_interval(ast):
+    if not (isinstance(ast, BoolOp) and ast.op == "&&"
+            and isinstance(ast.left, BinaryOp) and ast.left.op == ">="
+            and isinstance(ast.right, BinaryOp) and ast.right.op == "<="):
+        return None
+    column = ast.left.left
+    if not (isinstance(column, AttributeRef) and column.obj == "rEdge"
+            and ast.right.left == column):
+        return None
+    bounds = []
+    for bound in (ast.left.right, ast.right.right):
+        if isinstance(bound, AttributeRef) and bound.obj == "vEdge":
+            bounds.append((bound.obj, bound.attribute))
+        elif isinstance(bound, NumberLiteral) and _is_plain_number(bound.value):
+            bounds.append(float(bound.value))
+        else:
+            return None
+    return column.attribute, bounds[0], bounds[1]
+
+
+# --------------------------------------------------------------------------- #
+# Interval blocks: a delay window read off the compile's sorted index
+# --------------------------------------------------------------------------- #
+
+def _interval_blocks(query, constraint, pair_edges, compiled, allowed_masks,
+                     deadline):
+    """``(blocks, evaluations)`` of an interval constraint
+    (:func:`_interval_shape`), each block packed from the cells its window
+    admits (:func:`_admitted_cells`) — or ``None`` when the build takes the
+    verdict-row path.
+
+    It applies exactly where that path would run the batch kernel and pack
+    each pair once: both networks undirected, no node screening, the
+    ``vEdge`` bounds and the ``rEdge`` column numeric.  The blocks and
+    counts are the batch pass's: every existing arc row counts as evaluated
+    per query edge, and a missing or NaN value on either side admits
+    nothing.
+    """
+    shape = _interval_shape(constraint)
+    if (shape is None or query.directed or compiled.hosting.directed
+            or _vector_plan(constraint) is None):
+        return None
+    full_mask = compiled.indexer.full_mask
+    if any(mask != full_mask for mask in allowed_masks.values()):
+        return None
+    attr, low, high = shape
+    bindings = _query_edge_scalars(
+        query, [bound for bound in (low, high) if isinstance(bound, tuple)],
+        [edge for edges_between in pair_edges.values()
+         for edge in edges_between])
+    if bindings is None:
+        return None
+    index = compiled.interval_index(attr)
+    if index is None:
+        return None
+    # An undirected host fills both orientations of every row it has.
+    evaluated = int(np.count_nonzero(compiled.index_arrays()[2]))
+    num_hosts = compiled.num_hosts
+    blocks: Dict[BlockKey, CellBlock] = {}
+    evaluations = 0
+    # An undirected query joins a pair by one edge.
+    for (qa, qb), ((q_source, q_target),) in pair_edges.items():
+        if deadline is not None:
+            deadline.check()
+        evaluations += evaluated
+        window = []
+        for bound in (low, high):
+            if isinstance(bound, tuple):
+                value, missing = bindings[(q_source, q_target)][bound]
+                bound = math.nan if missing else value
+            window.append(bound)
+        blocks[(qa, qb)] = blocks[(qb, qa)] = _pack_cells(
+            _admitted_cells(index, *window), None, num_hosts)
+    return blocks, evaluations
+
+
+def _admitted_cells(index, low: float, high: float):
+    """The ``cell_ab`` addresses of the rows of
+    :meth:`HostingCompile.interval_index` whose value lies in
+    ``[low, high]``; none when either bound is NaN or ``low > high``.
+
+    Two ``searchsorted`` calls on the distinct values give the window's rank
+    bounds, two more give one slice of ``keys`` per placed host, and one
+    repeat/arange gather collects the slices.
+    """
+    keys, cells, distinct, host_keys = index
+    if not low <= high:
+        return cells[:0]
+    # Python ints keep the needles in the keys' dtype (no copy of keys).
+    first = int(np.searchsorted(distinct, low, side="left"))
+    stop = int(np.searchsorted(distinct, high, side="right"))
+    starts = np.searchsorted(keys, host_keys + first)
+    lengths = np.searchsorted(keys, host_keys + stop) - starts
+    ends = np.cumsum(lengths)
+    picks = np.repeat(starts - ends + lengths, lengths)
+    picks += np.arange(len(picks))
+    return cells[picks]
 
 
 # --------------------------------------------------------------------------- #
@@ -983,13 +1194,13 @@ def _pack_band(cells, verdict, padded: int, start: int, stop: int,
     band's non-empty rows, their packed words and the dense boolean they
     were packed from.  *cells* and *verdict* are already restricted to the
     band, and *cells* — like the returned *rows* — count from its first
-    row."""
+    row.  A ``None`` *verdict* sets every addressed cell."""
     dense = np.zeros((stop - start, padded), dtype=bool)
     if base is not None:
         lo, hi = np.searchsorted(base.hosts, (start, stop))
         dense[base.hosts[lo:hi] - start] = np.unpackbits(
             base.words[lo:hi].view(np.uint8), axis=1, bitorder="little")
-    dense.reshape(-1)[cells] = verdict
+    dense.reshape(-1)[cells] = True if verdict is None else verdict
     packed = np.packbits(dense, axis=1, bitorder="little").view("<u8")
     kept = np.flatnonzero(packed.any(axis=1))
     return kept, packed[kept], dense
@@ -1002,10 +1213,11 @@ def _pack_cells(cells, verdict, num_hosts: int,
     ``cells[i]`` is the flat address ``placed_host * padded + offered_host``
     of the bit ``verdict[i]`` decides (see
     :meth:`HostingCompile.cell_addresses`).  A build passes every arc row over
-    no *base*; a patch passes the re-evaluated rows over the block it
-    replaces, whose other bits carry over.  Either way the verdicts are
-    scattered into a dense boolean with one fancy-index store, packed with
-    one ``np.packbits`` and row-compressed, so a patched block is
+    no *base*, or only the admitted cells with no *verdict* (the interval
+    path, the arc adjacency); a patch passes the re-evaluated rows over the
+    block it replaces, whose other bits carry over.  Either way the verdicts
+    are scattered into a dense boolean with one fancy-index store, packed
+    with one ``np.packbits`` and row-compressed, so a patched block is
     array-equal to the rebuilt one by construction.
 
     Placed hosts are processed in bands of at most ``_MAX_DENSE_CELLS``
@@ -1020,17 +1232,21 @@ def _pack_cells(cells, verdict, num_hosts: int,
                                          base)
         # A build's arc rows address distinct cells, so its set bits are its
         # true verdicts; a patch writes over bits the base carried in.
-        return CellBlock(hosts, words,
-                         np.count_nonzero(verdict if base is None else dense))
+        if base is not None:
+            count = np.count_nonzero(dense)
+        else:
+            count = len(cells) if verdict is None else np.count_nonzero(verdict)
+        return CellBlock(hosts, words, count)
     host_parts = []
     word_parts = []
     count = 0
     for start in range(0, num_hosts, band):
         stop = min(start + band, num_hosts)
         inside = (cells >= start * padded) & (cells < stop * padded)
-        kept, words, dense = _pack_band(cells[inside] - start * padded,
-                                        verdict[inside], padded, start, stop,
-                                        base)
+        kept, words, dense = _pack_band(
+            cells[inside] - start * padded,
+            None if verdict is None else verdict[inside], padded, start, stop,
+            base)
         host_parts.append(kept + start)
         word_parts.append(words)
         count += int(np.count_nonzero(dense))
@@ -1094,9 +1310,14 @@ def _node_candidate_masks(query: QueryNetwork,
     or no matching pair at all) fall back to the node-screening mask so
     expression (1) still has something to offer."""
     derived: Dict[NodeId, int] = {}
+    # A symmetric pair's one block sits under both keys: decode it once.
+    host_masks: Dict[int, int] = {}
     for (placed, _following), block in blocks.items():
         if len(block.hosts):
-            derived[placed] = derived.get(placed, 0) | block.host_mask()
+            mask = host_masks.get(id(block))
+            if mask is None:
+                mask = host_masks[id(block)] = block.host_mask()
+            derived[placed] = derived.get(placed, 0) | mask
     return {node: derived.get(node, 0) or allowed_masks.get(node, 0)
             for node in query.nodes()}
 

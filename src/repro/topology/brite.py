@@ -103,12 +103,17 @@ def barabasi_albert(num_nodes: int, edges_per_node: int = 2,
 
     for index in range(seed_count, num_nodes):
         new_node = nodes[index]
-        targets = set()
+        # Targets in draw order (not a set of string ids, whose iteration
+        # order follows the process's hash seed), so a seed fixes the edges
+        # and the delay draws.
+        targets: List[str] = []
         # Guard against the (tiny) possibility of repeatedly sampling the same
         # target in small graphs.
         attempts = 0
         while len(targets) < edges_per_node and attempts < 50 * edges_per_node:
-            targets.add(rand.choice(attachment_pool))
+            target = rand.choice(attachment_pool)
+            if target not in targets:
+                targets.append(target)
             attempts += 1
         for target in targets:
             network.add_edge(new_node, target)

@@ -18,7 +18,13 @@ suite pins the properties that make a single store safe:
 * blocks are row-compressed (a sparse host packed in more than one band
   stays within its byte bound);
 * a shard payload ships blocks and nothing derived from them;
-* a kernel plan does not keep its owner or its filters alive.
+* a kernel plan does not keep its owner or its filters alive;
+* a delay window answered from the compile's sorted index gives the batch
+  kernel's blocks and counters — on-edge values, empty and full windows,
+  NaN and missing values, banded packing, a compile patched by attribute
+  churn — and directed or node-screened builds never take that path;
+* on an undirected host the two orientation slots share one column, and a
+  compile patched in place answers as a fresh one does.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import pickle
 import random
 import warnings
 import weakref
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -39,6 +46,7 @@ from repro.api import SearchRequest
 from repro.constraints import ConstraintExpression
 from repro.core import (
     ECF,
+    LNS,
     RWB,
     build_filters,
     compile_hosting,
@@ -709,3 +717,250 @@ class TestUnconstrainedScreening:
         screened = build_filters(
             query, hosting, WINDOW, ConstraintExpression("rNode.up == rNode.up"))
         assert_blocks_equal(filters, screened)
+
+
+# --------------------------------------------------------------------------- #
+# Interval blocks: a delay window read off the compile's sorted index
+# --------------------------------------------------------------------------- #
+
+#: A literal window, the other shape the index answers.
+LITERAL = ConstraintExpression(
+    "rEdge.avgDelay >= 20.0 && rEdge.avgDelay <= 35.5")
+#: The same verdicts and counts, in expressions the shape detector does not
+#: take (``x + 0`` is ``x`` for every float, NaN included): their builds run
+#: the batch kernel over every arc row.
+OFF_SHAPE = {
+    WINDOW: ConstraintExpression(
+        "rEdge.avgDelay >= vEdge.minDelay && rEdge.avgDelay <= vEdge.maxDelay"
+        " + 0"),
+    LITERAL: ConstraintExpression(
+        "rEdge.avgDelay >= 20.0 && rEdge.avgDelay <= 35.5 + 0"),
+}
+#: Host delays, with repeats and the query bounds among them, so that values
+#: sit exactly on a window's edges.
+DELAYS = [5.0, 10.0, 20.0, 20.0, 35.5, 35.5, 47.25, 60.0, float("nan"), None]
+WINDOWS = [(20.0, 35.5), (10.0, 47.25), (35.5, 20.0), (20.0, 20.0),
+           (0.0, 1e9), (float("nan"), 35.5), (20.0, float("nan")),
+           (None, 35.5), (20.0, None), (None, None)]
+
+
+def interval_scene(seed: int, query_directed: bool = False,
+                   hosting_directed: bool = False):
+    """Delays from :data:`DELAYS` (``None``: the link has no ``avgDelay``),
+    windows from :data:`WINDOWS` (``None``: that bound is missing) or drawn;
+    ``up`` on every host for the screened variant."""
+    rng = random.Random(seed)
+    num_hosts = rng.randint(3, 24)
+    hosting = HostingNetwork("hosting", directed=hosting_directed)
+    for i in range(num_hosts):
+        hosting.add_node(f"h{i:02d}", up=rng.random() < 0.8)
+    for i in range(num_hosts):
+        for j in range(num_hosts):
+            if i == j or (not hosting_directed and i > j) or rng.random() > 0.5:
+                continue
+            delay = rng.choice(DELAYS + [round(rng.uniform(0.0, 70.0), 3)])
+            hosting.add_edge(f"h{i:02d}", f"h{j:02d}",
+                             **({} if delay is None else {"avgDelay": delay}))
+    query = QueryNetwork("query", directed=query_directed)
+    num_query = rng.randint(2, 6)
+    for i in range(num_query):
+        query.add_node(f"q{i}")
+    for i in range(1, num_query):
+        low, high = rng.choice(WINDOWS + [(
+            round(rng.uniform(0.0, 40.0), 3), round(rng.uniform(0.0, 70.0), 3))])
+        attrs = {name: value for name, value in
+                 (("minDelay", low), ("maxDelay", high)) if value is not None}
+        query.add_edge(f"q{rng.randrange(i)}", f"q{i}", **attrs)
+    return query, hosting
+
+
+@contextmanager
+def recording_interval_path():
+    """Yields a list that gets, per build, whether the interval path
+    produced its blocks."""
+    taken = []
+    interval_blocks = filters_module._interval_blocks
+
+    def recording(*args, **kwargs):
+        result = interval_blocks(*args, **kwargs)
+        taken.append(result is not None)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(filters_module, "_interval_blocks", recording)
+        yield taken
+
+
+@pytest.fixture
+def interval_builds():
+    with recording_interval_path() as taken:
+        yield taken
+
+
+def assert_interval_parity(query, hosting, constraint):
+    """Interval build == the batch kernel's build of the off-shape twin
+    (blocks, sharing, counters) == the set-semantics oracle; returns the
+    interval build."""
+    filters = build_filters(query, hosting, constraint)
+    batch = build_filters(query, hosting, OFF_SHAPE[constraint])
+    assert_blocks_equal(filters, batch)
+    assert shared_pairs(filters) == shared_pairs(batch)
+    assert filters.constraint_evaluations == batch.constraint_evaluations
+    assert filters.entry_count == batch.entry_count
+    assert filters.node_candidate_masks == batch.node_candidate_masks
+    assert_blocks_equal_reference(
+        filters, build_filters_reference(query, hosting, constraint))
+    return filters
+
+
+class TestIntervalBlocks:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 10_000),
+           constraint=st.sampled_from([WINDOW, LITERAL]))
+    def test_blocks_and_counters_equal_the_batch_kernel(self, seed,
+                                                        constraint):
+        query, hosting = interval_scene(seed)
+        with recording_interval_path() as taken:
+            assert_interval_parity(query, hosting, constraint)
+        assert taken == [True, False]
+
+    def test_each_window_case_admits_what_the_batch_kernel_admits(
+            self, interval_builds):
+        """One query edge per entry of :data:`WINDOWS` over every delay of
+        :data:`DELAYS`: on-edge values, empty and full windows, NaN and
+        missing bounds and delays."""
+        hosting = HostingNetwork("hosting")
+        for i in range(len(DELAYS) + 1):
+            hosting.add_node(f"h{i:02d}")
+        for i, delay in enumerate(DELAYS):
+            for j in range(i + 1, len(DELAYS) + 1):
+                hosting.add_edge(f"h{i:02d}", f"h{j:02d}", **(
+                    {} if delay is None else {"avgDelay": delay}))
+        admitted = []
+        for low, high in WINDOWS:
+            query = QueryNetwork("query")
+            query.add_node("a")
+            query.add_node("b")
+            query.add_edge("a", "b", **{name: value for name, value in (
+                ("minDelay", low), ("maxDelay", high)) if value is not None})
+            filters = assert_interval_parity(query, hosting, WINDOW)
+            admitted.append(filters.blocks[("a", "b")].count)
+        assert interval_builds == [True, False] * len(WINDOWS)
+        # [20, 35.5] admits both 20s and both 35.5s, each link twice.
+        rows_per_delay = [len(DELAYS) - i for i in range(len(DELAYS))]
+        on_edges = sum(rows for delay, rows in zip(DELAYS, rows_per_delay)
+                       if delay in (20.0, 35.5))
+        assert admitted[0] == 2 * on_edges
+        assert admitted[2] == 0                       # low > high
+        assert admitted[4] == 2 * sum(                # full: all but NaN/None
+            rows for delay, rows in zip(DELAYS, rows_per_delay)
+            if delay is not None and delay == delay)
+        assert admitted[5:] == [0] * 5                # NaN or missing bound
+
+    @pytest.mark.parametrize("budget", [0, 128, 4096])
+    def test_banded_build_equals_one_band(self, budget, monkeypatch,
+                                          interval_builds):
+        query, hosting = interval_scene(17)
+        one_band = build_filters(query, hosting, WINDOW)
+        monkeypatch.setattr(filters_module, "_MAX_DENSE_CELLS", budget)
+        banded = build_filters(query, hosting, WINDOW)
+        assert_blocks_equal(banded, one_band)
+        assert banded.constraint_evaluations == one_band.constraint_evaluations
+        assert interval_builds == [True, True]
+        assert_interval_parity(query, hosting, WINDOW)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 10_000), churn_seed=st.integers(0, 10_000),
+           rounds=st.integers(1, 3))
+    def test_build_on_a_patched_compile_equals_a_fresh_compile(
+            self, seed, churn_seed, rounds):
+        """Attribute churn patches the memoised compile in place; the window
+        index it sorted before must not answer the next build."""
+        query, hosting = interval_scene(seed)
+        build_filters(query, hosting, WINDOW)
+        compiled = compile_hosting(hosting)
+        assert "avgDelay" in compiled._interval_indexes
+        rng = random.Random(churn_seed)
+        for _ in range(rounds):
+            attr_churn(hosting, rng, 6)
+            if hosting.edges():
+                hosting.update_edge(*rng.choice(hosting.edges()),
+                                    avgDelay=rng.choice(DELAYS[:-1]))
+            patched = build_filters(query, hosting, WINDOW)
+            assert compile_hosting(hosting) is compiled   # patched, not new
+            filters_module.clear_hosting_compile(hosting)
+            fresh = build_filters(query, hosting, WINDOW)
+            assert compile_hosting(hosting) is not compiled
+            assert_blocks_equal(patched, fresh)
+            assert (patched.constraint_evaluations
+                    == fresh.constraint_evaluations)
+            assert patched.node_candidate_masks == fresh.node_candidate_masks
+            setattr(hosting, filters_module._COMPILE_CACHE_ATTR, compiled)
+        assert_interval_parity(query, hosting, WINDOW)
+
+    @pytest.mark.parametrize("case", ["directed hosting", "directed query",
+                                      "screened", "strict"])
+    def test_other_builds_never_enter_the_interval_path(self, case,
+                                                        interval_builds):
+        query, hosting = interval_scene(
+            5, query_directed=case == "directed query",
+            hosting_directed=case == "directed hosting")
+        constraint = (ConstraintExpression(WINDOW.source, strict=True)
+                      if case == "strict" else WINDOW)
+        for edge in hosting.edges():          # strict: every read defined
+            if hosting.edge_attrs(*edge).get("avgDelay") is None:
+                hosting.update_edge(*edge, avgDelay=30.0)
+        if case == "strict":
+            for edge in query.edges():
+                query.update_edge(*edge, minDelay=20.0, maxDelay=40.0)
+        filters = build_filters(query, hosting, constraint,
+                                UP if case == "screened" else None)
+        assert interval_builds == [False]
+        assert_blocks_equal_reference(filters, build_filters_reference(
+            query, hosting, constraint, UP if case == "screened" else None))
+
+
+class TestUndirectedColumnAlias:
+    def test_slot_five_is_slot_four_only_on_an_undirected_host(self):
+        for directed in (False, True):
+            query, hosting = random_workload(9, directed)
+            compiled = compile_hosting(hosting)
+            aliased = compiled.column(5, "avgDelay") is compiled.column(
+                4, "avgDelay")
+            assert aliased is not directed
+
+    @pytest.mark.parametrize("seed", [2, 9, 23])
+    def test_attribute_patch_equals_a_fresh_compile(self, seed):
+        """LNS's batched checks and ``patch_filters`` over a compile patched
+        in place answer as they do over a fresh compile."""
+        query, hosting = random_workload(seed, directed=False)
+        lns_request = SearchRequest.build(query, hosting,
+                                          constraint=WINDOW.source)
+        filters = build_filters(query, hosting, WINDOW, UP)
+        compiled = compile_hosting(hosting)
+        LNS().prepare(lns_request).execute()      # fills both slots' reads
+        epoch = hosting.mutation_count
+        attr_churn(hosting, random.Random(seed), 10)
+        delta = hosting.delta_since(epoch)
+        assert compile_hosting(hosting) is compiled
+        patched_lns = LNS().prepare(lns_request).execute()
+        patched = patch_every_row(filters, query, hosting, WINDOW, UP,
+                                  compiled=compiled, delta=delta)
+
+        filters_module.clear_hosting_compile(hosting)
+        fresh_compile = compile_hosting(hosting)
+        fresh_lns = LNS().prepare(lns_request).execute()
+        assert ([m.assignment for m in patched_lns.mappings]
+                == [m.assignment for m in fresh_lns.mappings])
+        assert (patched_lns.stats.constraint_evaluations
+                == fresh_lns.stats.constraint_evaluations)
+        assert_blocks_equal(patched, build_filters(
+            query, hosting, WINDOW, UP, compiled=fresh_compile))
+        for slot in (4, 5):
+            values, missing = compiled.column(slot, "avgDelay")
+            fresh_values, fresh_missing = fresh_compile.column(slot,
+                                                               "avgDelay")
+            assert np.array_equal(values, fresh_values)
+            assert np.array_equal(missing, fresh_missing)
